@@ -1,0 +1,119 @@
+"""Elementary diagram moves induced by tensoring with the natural module.
+
+Away from zero a move exchanges the symbols at two adjacent positions, one of
+which carries a core symbol.  At position zero (odd series only) the core
+symbol slides out from under the stack, adjusting the sign:
+
+    > o f  ->  o > f          x^i/> o f  ->  -x^i > f
+    > x f  ->  +x > f         x^i/> x f  ->  +x^(i+1) > f     (i > 0)
+
+and the mirror rules with ``<``.  ``stabilize`` chains such moves until every
+cross precedes every movable core symbol.
+"""
+
+from __future__ import annotations
+
+from .diagram import (CROSS, EMPTY, GT, LT, CORE_SYMBOLS, DomainError,
+                      WeightDiagram, check_valid, fmt, sigma)
+
+
+def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
+    """Apply the move exchanging positions ``a`` and ``a+1``.
+
+    For ``a > 0`` exactly one of the two positions must hold a core symbol
+    (either direction works).  ``a = 0`` is only defined for t=1 and moves the
+    zero core symbol to position 1 or back.
+    """
+    check_valid(d)
+    if a < 0:
+        raise DomainError("positions are non-negative")
+    if a == 0:
+        return _swap_zero(d)
+    sa, sb = d.sym(a), d.sym(a + 1)
+    if (sa in CORE_SYMBOLS) == (sb in CORE_SYMBOLS):
+        raise DomainError(f"move undefined at {a}: need exactly one core symbol "
+                          f"among positions {a}, {a + 1} of {fmt(d)!r}")
+    return d.set_positions({a: sb, a + 1: sa})
+
+
+def _swap_zero(d: WeightDiagram) -> WeightDiagram:
+    if d.t != 1:
+        raise DomainError("the zero move exists for t=1 only")
+    i = d.zero_crosses
+    if d.zero_core is not None:
+        # forward: the core symbol leaves the zero position
+        c = d.zero_core
+        if d.sym(1) in CORE_SYMBOLS:
+            raise DomainError("position 1 already holds a core symbol")
+        if d.sym(1) is CROSS:
+            out = WeightDiagram(1, i + 1, None, (c,) + d.tail_symbols[1:], "+")
+        else:
+            sign = "-" if i > 0 else None
+            out = WeightDiagram(1, i, None, (c,) + d.tail_symbols[1:], sign)
+        return out
+    # backward: a core symbol at position 1 returns under the stack
+    c = d.sym(1)
+    if c not in CORE_SYMBOLS:
+        raise DomainError("move undefined at 0: no core symbol at position 0 or 1")
+    rest = d.tail_symbols[1:]
+    if d.sign == "+":
+        if i < 1:
+            raise DomainError("'+' sign requires a non-empty zero stack")
+        return WeightDiagram(1, i - 1, c, (CROSS,) + rest)
+    return WeightDiagram(1, i, c, (EMPTY,) + rest)
+
+
+def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
+    """Move ``d`` to a stable diagram; returns it with the positions swapped.
+
+    Strategy: take the leftmost core symbol with some cross at or beyond it,
+    walk to the right end of its contiguous core run and push that symbol one
+    step right.  Crossing a cross removes an inversion, so this terminates.
+    """
+    check_valid(d)
+    cur = d
+    moves: list[int] = []
+    while True:
+        crosses = list(cur.cross_positions())
+        if cur.zero_crosses:
+            crosses.append(0)
+        movable = [p for p in cur.core_positions()
+                   if not (cur.t in (0, 2) and p == 0)]
+        violating = [p for p in movable if any(x >= p for x in crosses)]
+        if not violating:
+            return cur, moves
+        p = min(violating)
+        while cur.sym(p + 1) in CORE_SYMBOLS:
+            p += 1
+        cur = trans_swap(cur, p)
+        moves.append(p)
+
+
+def shrink(d: WeightDiagram, u: int) -> WeightDiagram:
+    """Delete positions ``u`` and ``u+1``, which must hold a cross and an
+    empty; everything beyond shifts down two steps."""
+    check_valid(d)
+    if u < 1:
+        raise DomainError("shrink needs u >= 1")
+    if d.sym(u) is not CROSS or d.sym(u + 1) is not EMPTY:
+        raise DomainError(f"positions {u},{u + 1} of {fmt(d)!r} are not cross/empty")
+    tail = d.tail_symbols[:u - 1] + d.tail_symbols[u + 1:]
+    return d.with_tail(tail)
+
+
+def phi(d: WeightDiagram, u: int) -> WeightDiagram:
+    """Replace the cross/empty pair at ``u, u+1`` by ``><``."""
+    check_valid(d)
+    if u < 1:
+        raise DomainError("phi needs u >= 1")
+    if d.sym(u) is not CROSS or d.sym(u + 1) is not EMPTY:
+        raise DomainError(f"positions {u},{u + 1} of {fmt(d)!r} are not cross/empty")
+    return d.set_positions({u: GT, u + 1: LT})
+
+
+def switch(d: WeightDiagram) -> WeightDiagram:
+    """Sign change on core-free t=1 diagrams (identity when unsigned)."""
+    check_valid(d)
+    if d.t != 1 or not d.is_core_free():
+        raise DomainError("switch acts on core-free t=1 diagrams")
+    return sigma(d)
