@@ -9,7 +9,7 @@ from .ds import Decomposition, GradedMult, check_purity, ds1, ds_osp, dsr, gm_mu
 from .howl import howl, tau, tau_inv, unhowl
 from .oracle import oracle_mult1
 from .sdim import superdimension, weyl_dim_so
-from .translate import phi, shrink, stabilize, switch, trans_swap
+from .translate import shrink, stabilize, trans_swap
 from .weightmap import DominantWeight, diagram_to_weight, weight_to_diagram
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "parse", "fmt", "validate", "core_of", "atypicality", "tail_length",
     "block_type", "is_stable", "sigma", "pari", "enumerate_corefree",
     "howl", "unhowl", "tau", "tau_inv",
-    "trans_swap", "stabilize", "shrink", "phi", "switch",
+    "trans_swap", "stabilize", "shrink",
     "Decomposition", "GradedMult", "gm_mul", "ds1", "dsr", "check_purity",
     "ds_osp", "oracle_mult1",
     "superdimension", "weyl_dim_so",

@@ -2,15 +2,19 @@
 
 Every cross supports exactly one arc.  Off-zero crosses and the lowest zero
 cross (t=0,1) take a single right end; the remaining zero-stack crosses, and
-every zero cross when ``>`` sits underneath (t=2), take two.  Construction is
-right-to-left for the single-ended arcs, then lowest-first for the
-double-ended ones, always to the nearest unused empty positions; trailing
-implicit empties make this total.  A position is *free* when it is empty and
-no arc ends on it.
+every zero cross when ``>`` sits underneath (t=2), take two.  A single-ended
+arc ends on the nearest empty position right of its cross that no arc
+inside it takes; the double-ended arcs then take the empty positions left
+over, two at a time and lowest first; trailing implicit empties make this
+total.  A position is *free* when it is empty and no arc ends on it.
 
-Arcs are partially ordered by "is below"; the maximal arcs are exactly the
-removable ones, and the number of free positions left of a maximal arc's
-support drives the graded multiplicities of the reduction.
+The arcs form a forest under nesting.  A single-ended arc spans its support
+and its end; a double-ended arc spans everything from 0 to its outer end, so
+it lies above every arc that starts left of that end.  The roots of the
+forest, the maximal arcs, are exactly the removable ones, and the number of
+free positions left of a root's support drives the graded multiplicities of
+the reduction.  One left-to-right sweep finds the matching, the roots and
+these counts.
 """
 
 from __future__ import annotations
@@ -45,21 +49,13 @@ class Arc:
 
 @dataclass(frozen=True)
 class ArcDiagram:
+    """The arcs of a core-free diagram, sorted, and the roots of their
+    forest: each maximal arc, left to right, mapped to its free-left count
+    ``e``, the number of free positions strictly left of its support."""
+
     base: WeightDiagram
     arcs: tuple[Arc, ...]
-
-    def end_positions(self) -> set[int]:
-        return {e for a in self.arcs for e in a.ends}
-
-    def free_positions(self, below: int) -> list[int]:
-        """Free positions strictly left of ``below``."""
-        ends = self.end_positions()
-        out = []
-        if below > 0 and self.base.zero_crosses == 0 and self.base.zero_core is None:
-            out.append(0)
-        out.extend(p for p in range(1, below)
-                   if self.base.sym(p) is EMPTY and p not in ends)
-        return out
+    roots: dict[Arc, int]
 
 
 def build_arcs(h: WeightDiagram) -> ArcDiagram:
@@ -67,47 +63,44 @@ def build_arcs(h: WeightDiagram) -> ArcDiagram:
     check_valid(h)
     if not h.is_core_free():
         raise DomainError(f"arc diagrams attach to core-free diagrams, got {fmt(h)!r}")
-    used: set[int] = set()
-
-    def next_free(start: int) -> int:
-        p = max(start, 1)
-        while h.sym(p) is not EMPTY or p in used:
-            p += 1
-        used.add(p)
-        return p
-
-    singles = list(h.cross_positions())
-    doubles = h.zero_crosses
-    first_double_index = 0
-    if h.t != 2 and h.zero_crosses >= 1:
-        singles.insert(0, 0)
-        doubles -= 1
-        first_double_index = 1
-    arcs = []
-    for a in sorted(singles, reverse=True):
-        arcs.append(Arc(a, 0, (next_free(a + 1),)))
-    for i in range(doubles):
-        b1 = next_free(1)
-        b2 = next_free(b1 + 1)
-        arcs.append(Arc(0, first_double_index + i, (b1, b2)))
-    arcs.sort(key=lambda a: (a.support, a.stack_index, a.ends))
-    return ArcDiagram(h, tuple(arcs))
+    return _build_arcs(h)
 
 
-def arc_less(x: Arc, y: Arc) -> bool:
-    """True when ``x`` lies below ``y`` (non-crossing simplified form)."""
-    if len(y.ends) == 2:
-        if len(x.ends) == 2:
-            return x.reach < y.reach
-        return x.support < y.reach
-    if len(x.ends) == 2:
-        return False
-    return y.support < x.support < y.reach
+def _build_arcs(h: WeightDiagram) -> ArcDiagram:
+    """:func:`build_arcs` of a diagram known to be valid and core-free."""
+    zero_single = 1 if h.t != 2 and h.zero_crosses else 0
+    doubles = h.zero_crosses - zero_single
+    open_supports = [0] if zero_single else []
+    singles: list[Arc] = []
+    outermost: list[tuple[Arc, int]] = []  # with the free positions left of it
+    free: list[int] = []  # empty positions no single-ended arc takes
+    # enough trailing empties to close every arc; the tail holds no core symbol
+    trailing = (EMPTY,) * (h.count(CROSS) + doubles)
+    for p, s in enumerate(h.tail_symbols + trailing, 1):
+        if s is CROSS:
+            open_supports.append(p)
+        elif open_supports:
+            arc = Arc(open_supports.pop(), 0, (p,))
+            singles.append(arc)
+            if not open_supports:
+                outermost.append((arc, len(free)))
+        else:
+            free.append(p)
+    double_arcs = [Arc(0, zero_single + i, (free[2 * i], free[2 * i + 1]))
+                   for i in range(doubles)]
+    # the top double-ended arc covers every arc that starts left of its reach
+    roots = {double_arcs[-1]: 0} if double_arcs else {}
+    covered = double_arcs[-1].reach if double_arcs else -1
+    zero_free = 0 if h.zero_crosses or h.zero_core else 1
+    for arc, free_before in outermost:
+        if arc.support > covered:
+            roots[arc] = zero_free + free_before - 2 * doubles
+    arcs = sorted(singles + double_arcs, key=lambda a: (a.support, a.stack_index, a.ends))
+    return ArcDiagram(h, tuple(arcs), roots)
 
 
 def maximal_arcs(diagram: ArcDiagram) -> list[Arc]:
-    return [a for a in diagram.arcs
-            if not any(arc_less(a, b) for b in diagram.arcs if b is not a)]
+    return list(diagram.roots)
 
 
 def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
@@ -117,7 +110,7 @@ def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
     sign survives while the stack stays non-empty; an even-series diagram
     whose stack empties out comes back unsigned and the caller re-signs it.
     """
-    if arc not in maximal_arcs(diagram):
+    if arc not in diagram.roots:
         raise DomainError("only maximal arcs can be removed")
     d = diagram.base
     if arc.support == 0:
@@ -129,11 +122,9 @@ def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
 
 def free_left(diagram: ArcDiagram, arc: Arc) -> int:
     """Number of free positions strictly left of a maximal arc's support."""
-    if arc not in maximal_arcs(diagram):
+    if arc not in diagram.roots:
         raise DomainError("free_left is defined for maximal arcs")
-    if arc.support == 0:
-        return 0
-    return len(diagram.free_positions(arc.support))
+    return diagram.roots[arc]
 
 
 # -- rendering ----------------------------------------------------------------
@@ -141,41 +132,27 @@ def free_left(diagram: ArcDiagram, arc: Arc) -> int:
 _CELL = 3
 
 
-def _arc_levels(pairs: dict) -> dict:
-    """Nesting depth from the below-relation ``pairs[a] = arcs below a``."""
-    memo: dict = {}
-
-    def level(a):
-        if a not in memo:
-            memo[a] = 1 + max((level(b) for b in pairs[a]), default=-1)
-        return memo[a]
-
-    for a in pairs:
-        level(a)
-    return memo
-
-
-def render_ascii(diagram: ArcDiagram) -> str:
-    """Deterministic text drawing: arc rows (outer arcs on top), symbol row,
-    coordinate ruler.  A double-ended arc shows its inner end as ``v``."""
-    d = diagram.base
-    width = max([d.width] + [a.reach + 1 for a in diagram.arcs])
-    below = {a: [b for b in diagram.arcs if b is not a and arc_less(b, a)]
-             for a in diagram.arcs}
-    levels = _arc_levels(below)
-    rows = [f"diagram: {fmt(d)}"]
-    for lv in range(max(levels.values(), default=-1), -1, -1):
-        row = [" "] * (width * _CELL)
-        for a, alv in levels.items():
-            if alv != lv:
-                continue
-            lo, hi = a.support * _CELL, a.reach * _CELL
-            for c in range(lo + 1, hi):
-                row[c] = "-"
-            row[lo], row[hi] = ".", "."
-            if len(a.ends) == 2:
-                row[a.ends[0] * _CELL] = "v"
-        rows.append("".join(row).rstrip())
+def _draw(d: WeightDiagram, spans: list[tuple[int, int, tuple]]) -> str:
+    """Text drawing of ``d`` under arcs given as ``(lo, hi, marks)``: arc
+    rows (outer arcs on top), symbol row, coordinate ruler.  An arc runs
+    from position ``lo`` to ``hi``; ``marks`` holds ``(column, char)``
+    overwrites.  The spans must nest or be disjoint; an arc's row is its
+    height, one above the highest arc inside it."""
+    width = max([d.width] + [hi + 1 for _, hi, _ in spans])
+    rows: dict[int, list[str]] = {}
+    done: list[tuple[int, int]] = []  # (lo, level) of the outermost arcs so far
+    for lo, hi, marks in sorted(spans, key=lambda span: span[1]):
+        level = 0
+        while done and done[-1][0] >= lo:
+            level = max(level, done.pop()[1] + 1)
+        done.append((lo, level))
+        row = rows.setdefault(level, [" "] * (width * _CELL))
+        row[lo * _CELL + 1:hi * _CELL] = "-" * (hi * _CELL - lo * _CELL - 1)
+        row[lo * _CELL] = row[hi * _CELL] = "."
+        for column, char in marks:
+            row[column] = char
+    lines = [f"diagram: {fmt(d)}"]
+    lines.extend("".join(rows[lv]).rstrip() for lv in sorted(rows, reverse=True))
     sym_row = []
     for p in range(width):
         if p == 0:
@@ -187,9 +164,17 @@ def render_ascii(diagram: ArcDiagram) -> str:
         else:
             cell = d.sym(p).value
         sym_row.append(cell.ljust(_CELL))
-    rows.append("".join(sym_row).rstrip())
-    rows.append("".join(str(p).ljust(_CELL) for p in range(width)).rstrip())
-    return "\n".join(rows)
+    lines.append("".join(sym_row).rstrip())
+    lines.append("".join(str(p).ljust(_CELL) for p in range(width)).rstrip())
+    return "\n".join(lines)
+
+
+def render_ascii(diagram: ArcDiagram) -> str:
+    """Deterministic text drawing: arc rows (outer arcs on top), symbol row,
+    coordinate ruler.  A double-ended arc shows its inner end as ``v``."""
+    return _draw(diagram.base, [
+        (a.support, a.reach, ((a.ends[0] * _CELL, "v"),) if len(a.ends) == 2 else ())
+        for a in diagram.arcs])
 
 
 def arcs_json(diagram: ArcDiagram) -> dict:
@@ -271,29 +256,6 @@ def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
 
 def render_dotted(da: DottedArcs) -> str:
     """Text drawing of a dotted-cup diagram; dots print as ``*`` on the cup."""
-    width = max([da.base.width] + [b + 1 for _, b in da.arcs])
-    below = {arc: [x for x in da.arcs if x != arc and arc[0] < x[0] and x[1] < arc[1]]
-             for arc in da.arcs}
-    levels = _arc_levels(below)
-    rows = [f"diagram: {fmt(da.base)}"]
-    for lv in range(max(levels.values(), default=-1), -1, -1):
-        row = [" "] * (width * _CELL)
-        for (a, b), alv in levels.items():
-            if alv != lv:
-                continue
-            lo, hi = a * _CELL, b * _CELL
-            for c in range(lo + 1, hi):
-                row[c] = "-"
-            row[lo], row[hi] = ".", "."
-            if a in da.dotted:
-                row[(lo + hi) // 2] = "*"
-        rows.append("".join(row).rstrip())
-    sym = []
-    for p in range(width):
-        if p == 0:
-            sym.append(("x" if da.base.zero_crosses else "o").ljust(_CELL))
-        else:
-            sym.append(da.base.sym(p).value.ljust(_CELL))
-    rows.append("".join(sym).rstrip())
-    rows.append("".join(str(p).ljust(_CELL) for p in range(width)).rstrip())
-    return "\n".join(rows)
+    return _draw(da.base, [
+        (a, b, (((a + b) * _CELL // 2, "*"),) if a in da.dotted else ())
+        for a, b in da.arcs])

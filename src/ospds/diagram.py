@@ -26,8 +26,7 @@ ASCII grammar (bit-exact, used by :func:`parse` / :func:`fmt`)::
     stack   := 'x' | 'x^' INT          (INT >= 1)
     postok  := 'o' | 'x' | '>' | '<'
 
-Trailing ``o`` tokens are optional.  Unicode glyphs are produced by
-:func:`display` only and are never accepted on input.
+Trailing ``o`` tokens are optional.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ class WeightDiagram:
         return tuple(out)
 
     def count(self, symbol: Symbol) -> int:
-        n = sum(1 for s in self.tail_symbols if s is symbol)
+        n = self.tail_symbols.count(symbol)
         if symbol is CROSS:
             n += self.zero_crosses
         elif self.zero_core is symbol:
@@ -231,24 +230,6 @@ def fmt(d: WeightDiagram) -> str:
     return "".join(out)
 
 
-_UNICODE = {GT: ">", LT: "<", CROSS: "×", EMPTY: "∘"}
-
-
-def display(d: WeightDiagram) -> str:
-    """Human-facing rendering with multiplication/ring glyphs."""
-    out = [d.sign or ""]
-    if d.zero_crosses:
-        out.append("×" if d.zero_crosses == 1 else f"×^{d.zero_crosses}")
-        if d.zero_core is not None:
-            out.append("/" + d.zero_core.value)
-    elif d.zero_core is not None:
-        out.append(d.zero_core.value)
-    else:
-        out.append("∘")
-    out.extend(_UNICODE[s] for s in d.tail_symbols)
-    return "".join(out)
-
-
 # -- validation --------------------------------------------------------------
 
 def validate(d: WeightDiagram) -> list[str]:
@@ -296,7 +277,7 @@ def core_of(d: WeightDiagram) -> WeightDiagram:
     empty diagram stays signless)."""
     tail = tuple(EMPTY if s is CROSS else s for s in d.tail_symbols)
     sign = None
-    if d.t == 0 and d.zero_core is None and any(s is GT for s in tail):
+    if d.t == 0 and d.zero_core is None and GT in tail:
         sign = "+"
     return WeightDiagram(d.t, 0, d.zero_core, tail, sign)
 

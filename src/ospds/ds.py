@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .arcs import build_arcs, free_left, maximal_arcs, remove_arc
+from .arcs import _build_arcs, free_left, maximal_arcs, remove_arc
 from .diagram import (CROSS, DomainError, WeightDiagram, check_valid,
                       core_of, fmt, pari, sigma)
-from .howl import howl, tau, unhowl
+from .howl import _howl, _unhowl, howl, tau
 
 
 class GradedMult(NamedTuple):
@@ -89,15 +89,18 @@ def _sign_variants(h: WeightDiagram) -> list[WeightDiagram]:
 
 def ds1(lam: WeightDiagram) -> Decomposition:
     """One reduction step applied to a simple module's diagram."""
-    check_valid(lam)
+    return _ds1(check_valid(lam))
+
+
+def _ds1(lam: WeightDiagram) -> Decomposition:
+    """:func:`ds1` of a diagram known to be valid."""
     g = core_of(lam)
-    h = howl(lam)
-    diagram = build_arcs(h)
+    diagram = _build_arcs(_howl(lam))
     out = Decomposition(lam.t)
     for arc in maximal_arcs(diagram):
         mult = mult_rule(lam.t, free_left(diagram, arc))
         for h2 in _sign_variants(remove_arc(diagram, arc)):
-            for nu in unhowl(g, h2):
+            for nu in _unhowl(g, h2):
                 out.add(nu, mult)
     return out
 
@@ -110,7 +113,7 @@ def dsr(lam: WeightDiagram, r: int) -> Decomposition:
     for _ in range(r):
         nxt = Decomposition(lam.t)
         for nu, g in current.components.items():
-            for nu2, g2 in ds1(nu).components.items():
+            for nu2, g2 in _ds1(nu).components.items():
                 nxt.add(nu2, gm_mul(g, g2))
         current = nxt
     return current
@@ -148,7 +151,6 @@ def ds_osp(lam: WeightDiagram) -> Decomposition:
     members.  For the odd series the labels carry an extra +/- tag that both
     sides must share, and the multiplicities are those of :func:`ds1`.
     """
-    check_valid(lam)
     plain = ds1(lam)
     if lam.t == 1:
         return plain

@@ -26,14 +26,18 @@ class UnhowlError(DomainError):
 
 def howl(d: WeightDiagram) -> WeightDiagram:
     """Core-free companion of ``d`` in the principal block."""
-    check_valid(d)
+    return _howl(check_valid(d))
+
+
+def _howl(d: WeightDiagram) -> WeightDiagram:
+    """:func:`howl` of a diagram known to be valid."""
     zero_has_core = d.zero_core is not None
     # s-number of every off-zero cross: free (non-core) positions to its left
     slots_before = []
     free_seen = 0 if zero_has_core else 1
-    for p in range(1, d.width):
+    for symbol in d.tail_symbols:
         slots_before.append(free_seen)
-        if d.sym(p) not in CORE_SYMBOLS:
+        if symbol not in CORE_SYMBOLS:
             free_seen += 1
     new_stack = d.zero_crosses
     positions: dict[int, int] = {}
@@ -89,6 +93,12 @@ def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
         raise UnhowlError("first argument must be a core diagram (no crosses)")
     if not h.is_core_free():
         raise UnhowlError("second argument must be core-free")
+    return _unhowl(g, h)
+
+
+def _unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
+    """:func:`unhowl` of a valid core ``g`` and a valid core-free ``h`` of
+    the same type; the lifts are still checked."""
     q = h.zero_crosses
     off = h.cross_positions()
     hi = max(off) + 1 if off else 1

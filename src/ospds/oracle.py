@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram,
                       atypicality, check_valid, core_of, fmt, sigma)
 from .ds import GradedMult, ZERO
-from .howl import howl
-from .translate import shrink
+from .howl import _howl
 
 
 @dataclass
@@ -91,20 +90,25 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
     if atypicality(lam) - atypicality(nu) != 1:
         _note(trace, "wrong atyp gap", lam, nu)
         return ZERO
-    f, g = howl(lam), howl(nu)
+    f, g = _howl(lam), _howl(nu)
     _note(trace, "compact", f, g)
 
-    # eat the target's off-zero crosses from the right
-    while True:
-        off = g.cross_positions()
-        if not off:
-            break
-        u = off[-1]
-        if f.sym(u) is not CROSS or f.sym(u + 1) is not EMPTY:
-            _note(trace, "no cross/empty", f, g)
+    # eat the target's off-zero crosses from the right: the source must show
+    # cross/empty at (u, u+1), u+1 possibly past its stored tail, and both
+    # diagrams lose those two positions; the target has nothing right of u,
+    # so what is left of it is a prefix
+    tail = list(f.tail_symbols)
+    for u in reversed(g.cross_positions()):
+        if tail[u - 1:u + 1] not in ([CROSS, EMPTY], [CROSS]):
+            if trace is not None:
+                _note(trace, "no cross/empty", f.with_tail(tail),
+                      g.with_tail(g.tail_symbols[:u]))
             return ZERO
-        f, g = shrink(f, u), shrink(g, u)
-        _note(trace, f"shrink at {u}", f, g)
+        del tail[u - 1:u + 1]
+        if trace is not None:
+            _note(trace, f"shrink at {u}", f.with_tail(tail),
+                  g.with_tail(g.tail_symbols[:u - 1]))
+    f, g = f.with_tail(tail), g.with_tail(())
 
     t = f.t
     if t == 1:

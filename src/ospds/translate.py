@@ -13,8 +13,8 @@ cross precedes every movable core symbol.
 
 from __future__ import annotations
 
-from .diagram import (CROSS, EMPTY, GT, LT, CORE_SYMBOLS, DomainError,
-                      WeightDiagram, check_valid, fmt, sigma)
+from .diagram import (CROSS, EMPTY, CORE_SYMBOLS, DomainError, WeightDiagram,
+                      check_valid, fmt)
 
 
 def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
@@ -100,20 +100,3 @@ def shrink(d: WeightDiagram, u: int) -> WeightDiagram:
     tail = d.tail_symbols[:u - 1] + d.tail_symbols[u + 1:]
     return d.with_tail(tail)
 
-
-def phi(d: WeightDiagram, u: int) -> WeightDiagram:
-    """Replace the cross/empty pair at ``u, u+1`` by ``><``."""
-    check_valid(d)
-    if u < 1:
-        raise DomainError("phi needs u >= 1")
-    if d.sym(u) is not CROSS or d.sym(u + 1) is not EMPTY:
-        raise DomainError(f"positions {u},{u + 1} of {fmt(d)!r} are not cross/empty")
-    return d.set_positions({u: GT, u + 1: LT})
-
-
-def switch(d: WeightDiagram) -> WeightDiagram:
-    """Sign change on core-free t=1 diagrams (identity when unsigned)."""
-    check_valid(d)
-    if d.t != 1 or not d.is_core_free():
-        raise DomainError("switch acts on core-free t=1 diagrams")
-    return sigma(d)

@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import (CROSS, GT, LT, DomainError, Symbol, WeightDiagram,
-                      atypicality, build, check_valid, fmt)
+from .diagram import (CROSS, GT, LT, DomainError, ParseError, Symbol,
+                      WeightDiagram, atypicality, build, check_valid, fmt)
 
 Q = Fraction
 
@@ -168,7 +168,9 @@ def parse_weight(text: str) -> DominantWeight:
     """Parse the CLI weight format ``B m n / a1,...,am / b1,...,bn``.
 
     Rationals are written as ``p`` or ``p/2`` without spaces; the three
-    sections are divided by slashes surrounded by whitespace.
+    sections are divided by slashes surrounded by whitespace.  A malformed
+    number raises :class:`ParseError`; a text of the wrong shape raises
+    :class:`DomainError`.
     """
     sections = re.split(r"\s+/\s+", text.strip())
     if len(sections) != 3:
@@ -176,12 +178,19 @@ def parse_weight(text: str) -> DominantWeight:
     head = sections[0].split()
     if len(head) != 3:
         raise DomainError("the header must be 'B|D m n'")
-    series, m, n = head[0], int(head[1]), int(head[2])
+    series, m, n = head[0], _number(int, head[1]), _number(int, head[2])
 
     def rationals(chunk: str) -> tuple[Fraction, ...]:
         chunk = chunk.strip()
         if not chunk or chunk == "-":
             return ()
-        return tuple(Q(tok.strip()) for tok in chunk.split(","))
+        return tuple(_number(Q, tok.strip()) for tok in chunk.split(","))
 
     return DominantWeight(series, m, n, rationals(sections[1]), rationals(sections[2]))
+
+
+def _number(kind, token: str):
+    try:
+        return kind(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad number {token!r} in a weight") from None

@@ -1,8 +1,7 @@
 import pytest
 
-from ospds.arcs import (Arc, ArcDiagram, arc_less, arcs_json, build_arcs,
-                        es_dotted, free_left, maximal_arcs, remove_arc,
-                        render_ascii, render_dotted)
+from ospds.arcs import (Arc, arcs_json, build_arcs, es_dotted, free_left,
+                        maximal_arcs, remove_arc, render_ascii, render_dotted)
 from ospds.diagram import (CROSS, EMPTY, DomainError, WeightDiagram,
                            atypicality, enumerate_corefree, fmt)
 from conftest import P
@@ -10,6 +9,38 @@ from conftest import P
 
 def arcset(diagram):
     return {(a.support, a.ends) for a in diagram.arcs}
+
+
+def below(x, y):
+    """Brute-force reference for "x lies below y": a double-ended arc spans
+    everything from 0 to its reach, a single-ended one its own interval."""
+    if len(y.ends) == 2:
+        if len(x.ends) == 2:
+            return x.reach < y.reach
+        return x.support < y.reach
+    if len(x.ends) == 2:
+        return False
+    return y.support < x.support < y.reach
+
+
+def reference_maximal(A):
+    return [a for a in A.arcs if not any(below(a, b) for b in A.arcs if b is not a)]
+
+
+def free_positions(A):
+    """Free positions counted directly, up to one past the widest reach."""
+    h = A.base
+    ends = {e for a in A.arcs for e in a.ends}
+    reach = max((a.reach for a in A.arcs), default=0)
+    out = [0] if h.zero_crosses == 0 and h.zero_core is None else []
+    out.extend(p for p in range(1, reach + 2) if h.sym(p) is EMPTY and p not in ends)
+    return out
+
+
+# wide shapes: side by side, a zero stack, nests of five, a t=2 stack
+# followed by single-ended roots
+WIDE = [("+" + "ox" * 100, 0), ("-x^800", 1), ("o" + "xxxxxooooo" * 20, 1),
+        ("x^30/>" + "o" * 61 + "xoo" * 10, 2)]
 
 
 class TestBuildArcs:
@@ -40,16 +71,15 @@ class TestBuildArcs:
             build_arcs(P(">x", 1))
 
     def test_invariants(self, corefree_pool):
-        for h in corefree_pool:
+        for h in corefree_pool + [P(text, t) for text, t in WIDE]:
             A = build_arcs(h)
             assert len(A.arcs) == atypicality(h)
-            ends = A.end_positions()
-            assert len(ends) == sum(len(a.ends) for a in A.arcs)
+            ends = [e for a in A.arcs for e in a.ends]
+            assert len(set(ends)) == len(ends)
             if A.arcs:
                 assert maximal_arcs(A)
             # no free position strictly under any arc's span
-            reach = max((a.reach for a in A.arcs), default=0)
-            free = set(A.free_positions(reach + 1))
+            free = set(free_positions(A))
             for a in A.arcs:
                 for p in range(a.support + 1, a.reach):
                     assert p not in free, (fmt(h), a, p)
@@ -57,12 +87,16 @@ class TestBuildArcs:
 
 class TestOrder:
     def test_double_arc_dominates(self):
+        A = build_arcs(P("x^2oxooxxooooxo", 0))
         big = Arc(0, 1, (4, 9))
-        assert arc_less(Arc(2, 0, (3,)), big)
-        assert not arc_less(Arc(11, 0, (12,)), big)
+        assert below(Arc(2, 0, (3,)), big)
+        assert not below(Arc(11, 0, (12,)), big)
+        assert big in maximal_arcs(A) and Arc(2, 0, (3,)) not in maximal_arcs(A)
 
     def test_nesting(self):
-        assert arc_less(Arc(6, 0, (7,)), Arc(5, 0, (8,)))
+        A = build_arcs(P("x^2oxooxxooooxo", 0))
+        assert below(Arc(6, 0, (7,)), Arc(5, 0, (8,)))
+        assert Arc(6, 0, (7,)) not in maximal_arcs(A)
 
     def test_maximal_examples(self):
         A = build_arcs(P("x^2oxooxxooooxo", 0))
@@ -74,6 +108,15 @@ class TestOrder:
         single = build_arcs(P("ox", 1))
         assert maximal_arcs(single) == list(single.arcs)
 
+    def test_roots_match_the_reference(self, corefree_pool):
+        for h in corefree_pool + [P(text, t) for text, t in WIDE]:
+            A = build_arcs(h)
+            assert maximal_arcs(A) == reference_maximal(A), fmt(h)
+            free = free_positions(A)
+            for a in maximal_arcs(A):
+                assert free_left(A, a) == sum(1 for p in free if p < a.support), \
+                    (fmt(h), a)
+
     def test_maximality_matches_rebuild_characterisation(self, corefree_pool):
         # independent check: an arc is maximal exactly when deleting its cross
         # re-arcs to the remaining arcs unchanged
@@ -81,7 +124,7 @@ class TestOrder:
             if atypicality(h) == 0:
                 continue
             A = build_arcs(h)
-            maxset = arcset(ArcDiagram(h, tuple(maximal_arcs(A))))
+            maxset = {(a.support, a.ends) for a in maximal_arcs(A)}
             for arc in A.arcs:
                 if arc.support == 0:
                     base = WeightDiagram(h.t, h.zero_crosses - 1, h.zero_core,
@@ -155,6 +198,18 @@ class TestRender:
         inner = next(i for i, ln in enumerate(lines) if ln.strip().startswith(".--."))
         assert double < inner
 
+    def test_stacked_arcs_take_one_row_each(self):
+        # the zero arc and both double-ended arcs start at 0 and still nest
+        assert render_ascii(build_arcs(P("-x^3x", 1))).splitlines() == [
+            "diagram: -x^3x",
+            ".-----------------v--.",
+            ".-----------v--.",
+            ".--------.",
+            "   .--.",
+            "x3 x  o  o  o  o  o  o",
+            "0  1  2  3  4  5  6  7",
+        ]
+
     def test_deterministic(self):
         a = render_ascii(build_arcs(P("-x^2xo", 1)))
         b = render_ascii(build_arcs(P("-x^2xo", 1)))
@@ -192,4 +247,10 @@ class TestDotted:
 
     def test_render_marks_dots(self):
         out = render_dotted(es_dotted(P("+x^3x", 1), "B"))
-        assert "*" in out
+        assert out.splitlines() == [
+            "diagram: +xxooxox",
+            ".--------.",
+            "   .--.     .*-.  .*-.",
+            "x  x  o  o  x  o  x  o",
+            "0  1  2  3  4  5  6  7",
+        ]

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospds.cli import main
 
@@ -126,3 +127,36 @@ class TestOtherCommands:
     def test_usage_error(self, run):
         assert run("nonsense")[0] == 2
         assert run("ds", "+x")[0] == 2  # missing --t
+
+
+class TestWeightInput:
+    @pytest.mark.parametrize("text", [
+        "B 1 0 / 1/2,1/0,0 / 1/2,0",
+        "D 2 y / 1/2 / -1/2,x,x",
+        "B 2 0 / x,a,2/ / 0,,2/",
+        "D 1 0 / ,2/,-1/2 / 1",
+        "B 1 1 / a / 1/2",
+        "B x 1 / 1/2 / 1/2",
+        "B 1 1 / 1/0 / 1/2",
+    ])
+    def test_bad_number_exits_2_with_grammar(self, run, text):
+        code, out, err = run("parse", text)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: bad number") and "zerotok" in err
+
+    def test_wrong_shape_stays_a_domain_error(self, run):
+        code, _, err = run("parse", "B 1 1 / 1/2")
+        assert code == 1 and err.startswith("error: expected")
+
+
+# short tokens: a long digit run asks for a diagram as wide as its value
+_token = st.one_of(st.text("0123456789-+/,.xaBD ", max_size=5),
+                   st.sampled_from(["B", "D", "1", "1/2", "-1/2", "0", "2/0", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.lists(_token, min_size=3, max_size=3),
+       a=st.lists(_token, max_size=3), b=st.lists(_token, max_size=3))
+def test_weight_fuzz_never_raises(head, a, b):
+    text = " ".join(head) + " / " + ",".join(a) + " / " + ",".join(b)
+    assert main(["parse", text]) in (0, 1, 2)

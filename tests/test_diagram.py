@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from ospds.diagram import (CROSS, GT, LT, DomainError, ParseError,
                            WeightDiagram, atypicality, block_type, build,
-                           core_of, display, enumerate_corefree, fmt,
+                           core_of, enumerate_corefree, fmt,
                            is_stable, pari, parse, sigma, tail_length,
                            validate)
 from conftest import P
@@ -33,9 +33,6 @@ class TestParseFormat:
     def test_sign_alone_is_rejected(self):
         with pytest.raises(ParseError):
             parse("-", 0)
-
-    def test_display_uses_glyphs(self):
-        assert display(parse("-x^2ox", 1)) == "-×^2∘×"
 
     def test_empty_diagram_is_canonically_unsigned(self):
         assert WeightDiagram(0, sign="+") == WeightDiagram(0)

@@ -2,7 +2,7 @@ import pytest
 
 from ospds.diagram import DomainError, enumerate_corefree, fmt, is_stable
 from ospds.howl import UnhowlError, howl, unhowl
-from ospds.translate import phi, shrink, stabilize, switch, trans_swap
+from ospds.translate import shrink, stabilize, trans_swap
 from conftest import P
 
 
@@ -90,28 +90,3 @@ class TestShrinkPhi:
         widened = small.with_tail(small.tail_symbols[:u - 1] + (CROSS, EMPTY)
                                   + small.tail_symbols[u - 1:])
         assert widened == d
-
-    def test_phi_example(self):
-        assert fmt(phi(P("xxxo", 0), 2)) == "xx><"
-
-    def test_phi_and_shrink_agree_through_howl(self, corefree_pool):
-        for d in corefree_pool:
-            for u in range(1, d.width):
-                try:
-                    a = phi(d, u)
-                except DomainError:
-                    continue
-                assert howl(a) == howl(shrink(d, u))
-
-
-class TestSwitch:
-    def test_flips(self):
-        assert fmt(switch(P("+x^2", 1))) == "-x^2"
-
-    def test_unsigned_fixed(self):
-        assert switch(P("ox", 1)) == P("ox", 1)
-
-    def test_involution(self):
-        for k in range(0, 4):
-            for h in enumerate_corefree(1, k, 6):
-                assert switch(switch(h)) == h
