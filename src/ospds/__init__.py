@@ -1,7 +1,7 @@
 """Weight-diagram calculus for the orthosymplectic series: arc diagrams,
 translation moves, reduction of simple modules, superdimensions."""
 
-from .diagram import (CROSS, EMPTY, GT, LT, DomainError, ParseError, Symbol,
+from .diagram import (CROSS, EMPTY, GT, LT, DomainError, ParseError,
                       WeightDiagram, atypicality, block_type, core_of,
                       enumerate_corefree, fmt, is_stable, pari, parse, sigma,
                       tail_length, validate)
@@ -13,7 +13,7 @@ from .translate import shrink, stabilize, trans_swap
 from .weightmap import DominantWeight, diagram_to_weight, weight_to_diagram
 
 __all__ = [
-    "Symbol", "WeightDiagram", "GT", "LT", "CROSS", "EMPTY",
+    "WeightDiagram", "GT", "LT", "CROSS", "EMPTY",
     "ParseError", "DomainError",
     "parse", "fmt", "validate", "core_of", "atypicality", "tail_length",
     "block_type", "is_stable", "sigma", "pari", "enumerate_corefree",

@@ -75,9 +75,9 @@ def _build_arcs(h: WeightDiagram) -> ArcDiagram:
     outermost: list[tuple[Arc, int]] = []  # with the free positions left of it
     free: list[int] = []  # empty positions no single-ended arc takes
     # enough trailing empties to close every arc; the tail holds no core symbol
-    trailing = (EMPTY,) * (h.count(CROSS) + doubles)
+    trailing = EMPTY * (h.count(CROSS) + doubles)
     for p, s in enumerate(h.tail_symbols + trailing, 1):
-        if s is CROSS:
+        if s == CROSS:
             open_supports.append(p)
         elif open_supports:
             arc = Arc(open_supports.pop(), 0, (p,))
@@ -158,11 +158,11 @@ def _draw(d: WeightDiagram, spans: list[tuple[int, int, tuple]]) -> str:
         if p == 0:
             if d.zero_crosses:
                 cell = "x" if d.zero_crosses == 1 else f"x{d.zero_crosses}"
-                cell += d.zero_core.value if d.zero_core else ""
+                cell += d.zero_core or ""
             else:
-                cell = d.zero_core.value if d.zero_core else "o"
+                cell = d.zero_core or "o"
         else:
-            cell = d.sym(p).value
+            cell = d.sym(p)
         sym_row.append(cell.ljust(_CELL))
     lines.append("".join(sym_row).rstrip())
     lines.append("".join(str(p).ljust(_CELL) for p in range(width)).rstrip())

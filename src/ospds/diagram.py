@@ -27,6 +27,11 @@ ASCII grammar (bit-exact, used by :func:`parse` / :func:`fmt`)::
     postok  := 'o' | 'x' | '>' | '<'
 
 Trailing ``o`` tokens are optional.
+
+A diagram stores its positions past 0 as a string over ``o x > <``, and the
+symbol names :data:`GT`, :data:`LT`, :data:`CROSS`, :data:`EMPTY` are those
+characters.  :func:`parse` refuses a zero stack or a width above
+:data:`MAX_WIDTH`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 
 
@@ -46,36 +50,27 @@ class DomainError(ValueError):
     """Raised when an operation's precondition on diagrams is violated."""
 
 
-class Symbol(Enum):
-    GT = ">"
-    LT = "<"
-    CROSS = "x"
-    EMPTY = "o"
-
-
-GT, LT, CROSS, EMPTY = Symbol.GT, Symbol.LT, Symbol.CROSS, Symbol.EMPTY
+GT, LT, CROSS, EMPTY = ">", "<", "x", "o"
+# a tuple, not the string "><": the empty string is in every string
 CORE_SYMBOLS = (GT, LT)
 
-
-def _trim(tail: tuple[Symbol, ...]) -> tuple[Symbol, ...]:
-    n = len(tail)
-    while n and tail[n - 1] is EMPTY:
-        n -= 1
-    return tail[:n]
+# largest zero stack, off-zero position or weight coordinate read from text
+MAX_WIDTH = 10_000
 
 
 @dataclass(frozen=True)
 class WeightDiagram:
     """Immutable weight diagram of block type ``t``.
 
-    ``tail_symbols[i]`` is the symbol at position ``i + 1``; trailing empties
-    are trimmed on construction so equality and hashing are canonical.
+    ``tail_symbols[i]`` is the symbol at position ``i + 1``.  Any iterable
+    of symbols is joined into a string and trailing empties are trimmed on
+    construction, so equality and hashing are canonical.
     """
 
     t: int
     zero_crosses: int = 0
-    zero_core: Symbol | None = None
-    tail_symbols: tuple[Symbol, ...] = ()
+    zero_core: str | None = None
+    tail_symbols: str = ""
     sign: str | None = None
 
     def __post_init__(self):
@@ -87,7 +82,10 @@ class WeightDiagram:
             raise DomainError("zero_core must be '>' or '<'")
         if self.sign not in (None, "+", "-"):
             raise DomainError(f"sign must be '+', '-' or None, got {self.sign!r}")
-        object.__setattr__(self, "tail_symbols", _trim(tuple(self.tail_symbols)))
+        tail = self.tail_symbols
+        if not isinstance(tail, str):
+            tail = "".join(tail)
+        object.__setattr__(self, "tail_symbols", tail.rstrip(EMPTY))
         # the completely empty diagram is canonically unsigned
         if self.sign is not None and not self.has_symbols:
             object.__setattr__(self, "sign", None)
@@ -102,8 +100,8 @@ class WeightDiagram:
     def has_symbols(self) -> bool:
         return bool(self.zero_crosses or self.zero_core or self.tail_symbols)
 
-    def sym(self, p: int) -> Symbol:
-        """Symbol at positive position ``p`` (EMPTY beyond the support)."""
+    def sym(self, p: int) -> str:
+        """The symbol at positive position ``p`` (EMPTY beyond the support)."""
         if p < 1:
             raise DomainError("sym() addresses positive positions only")
         if p <= len(self.tail_symbols):
@@ -112,7 +110,7 @@ class WeightDiagram:
 
     def cross_positions(self) -> tuple[int, ...]:
         """Positive positions holding a cross (the zero stack is separate)."""
-        return tuple(p for p, s in enumerate(self.tail_symbols, 1) if s is CROSS)
+        return tuple(p for p, s in enumerate(self.tail_symbols, 1) if s == CROSS)
 
     def core_positions(self) -> tuple[int, ...]:
         """All positions holding a core symbol, including 0 for the zero core."""
@@ -120,49 +118,48 @@ class WeightDiagram:
         out.extend(p for p, s in enumerate(self.tail_symbols, 1) if s in CORE_SYMBOLS)
         return tuple(out)
 
-    def count(self, symbol: Symbol) -> int:
+    def count(self, symbol: str) -> int:
         n = self.tail_symbols.count(symbol)
-        if symbol is CROSS:
+        if symbol == CROSS:
             n += self.zero_crosses
-        elif self.zero_core is symbol:
+        elif self.zero_core == symbol:
             n += 1
         return n
 
     def with_tail(self, tail) -> "WeightDiagram":
-        return dataclasses.replace(self, tail_symbols=tuple(tail))
+        return dataclasses.replace(self, tail_symbols=tail)
 
     def with_sign(self, sign: str | None) -> "WeightDiagram":
         return dataclasses.replace(self, sign=sign)
 
-    def set_positions(self, updates: dict[int, Symbol]) -> "WeightDiagram":
+    def set_positions(self, updates: dict[int, str]) -> "WeightDiagram":
         """Copy with the given positive positions overwritten."""
-        hi = max(updates, default=0)
-        tail = list(self.tail_symbols) + [EMPTY] * max(0, hi - len(self.tail_symbols))
+        tail = list(self.tail_symbols.ljust(max(updates, default=0), EMPTY))
         for p, s in updates.items():
             tail[p - 1] = s
         return self.with_tail(tail)
 
     def is_core_free(self) -> bool:
         """True when the core consists of nothing but the obligatory zero ``>``."""
-        if any(s in CORE_SYMBOLS for s in self.tail_symbols):
+        if GT in self.tail_symbols or LT in self.tail_symbols:
             return False
         if self.t == 2:
-            return self.zero_core is GT
+            return self.zero_core == GT
         return self.zero_core is None
 
     def __str__(self) -> str:
         return fmt(self)
 
 
-def build(t: int, zero_crosses: int = 0, zero_core: Symbol | None = None,
-          positions: dict[int, Symbol] | None = None, sign: str | None = None) -> WeightDiagram:
+def build(t: int, zero_crosses: int = 0, zero_core: str | None = None,
+          positions: dict[int, str] | None = None, sign: str | None = None) -> WeightDiagram:
     """Convenience constructor from a sparse position map."""
     positions = positions or {}
     if positions and min(positions) < 1:
         raise DomainError("positions must be >= 1; use zero_crosses/zero_core for 0")
     hi = max(positions, default=0)
     tail = [positions.get(p, EMPTY) for p in range(1, hi + 1)]
-    return WeightDiagram(t, zero_crosses, zero_core, tuple(tail), sign)
+    return WeightDiagram(t, zero_crosses, zero_core, tail, sign)
 
 
 # -- parse / format ---------------------------------------------------------
@@ -194,25 +191,29 @@ def parse(text: str, t: int) -> WeightDiagram:
     if s[0] == "o":
         s = s[1:]
     elif s[0] in "><":
-        zero_core = Symbol(s[0])
+        zero_core = s[0]
         s = s[1:]
     elif s[0] == "x":
         m = _STACK_RE.match(s)
-        zero_crosses = int(m.group(1)) if m.group(1) else 1
+        # count the digits before int(), which refuses very long runs
+        digits = (m.group(1) or "1").lstrip("0") or "0"
+        if len(digits) > len(str(MAX_WIDTH)) or int(digits) > MAX_WIDTH:
+            raise DomainError(f"zero stack above the cap MAX_WIDTH = {MAX_WIDTH}")
+        zero_crosses = int(digits)
         if zero_crosses < 1:
             raise ParseError("stack exponent must be >= 1")
         s = s[m.end():]
         if s[:2] in ("/>", "/<"):
-            zero_core = Symbol(s[1])
+            zero_core = s[1]
             s = s[2:]
     else:
         raise ParseError(f"bad zero token at {s!r}")
-    tail = []
-    for ch in s:
-        if ch not in "ox><":
-            raise ParseError(f"bad symbol {ch!r} (positions past 0 take o, x, >, <)")
-        tail.append(Symbol(ch))
-    return WeightDiagram(t, zero_crosses, zero_core, tuple(tail), sign)
+    if len(s) > MAX_WIDTH:
+        raise DomainError(f"diagram wider than the cap MAX_WIDTH = {MAX_WIDTH}")
+    bad = s.lstrip("ox><")
+    if bad:
+        raise ParseError(f"bad symbol {bad[0]!r} (positions past 0 take o, x, >, <)")
+    return WeightDiagram(t, zero_crosses, zero_core, s, sign)
 
 
 def fmt(d: WeightDiagram) -> str:
@@ -221,12 +222,12 @@ def fmt(d: WeightDiagram) -> str:
     if d.zero_crosses:
         out.append("x" if d.zero_crosses == 1 else f"x^{d.zero_crosses}")
         if d.zero_core is not None:
-            out.append("/" + d.zero_core.value)
+            out.append("/" + d.zero_core)
     elif d.zero_core is not None:
-        out.append(d.zero_core.value)
+        out.append(d.zero_core)
     else:
         out.append("o")
-    out.extend(s.value for s in d.tail_symbols)
+    out.append(d.tail_symbols)
     return "".join(out)
 
 
@@ -237,14 +238,14 @@ def validate(d: WeightDiagram) -> list[str]:
     bad: list[str] = []
     gt, cross = d.count(GT), d.count(CROSS)
     if d.t == 2:
-        if d.zero_core is not GT:
+        if d.zero_core != GT:
             bad.append("t=2 requires '>' at the zero position")
         if d.sign is not None:
             bad.append("t=2 diagrams carry no sign")
     elif d.t == 0:
-        if d.zero_core is GT:
+        if d.zero_core == GT:
             bad.append("'>' at the zero position makes the diagram type 2, not 0")
-        if d.zero_core is LT and (gt or cross):
+        if d.zero_core == LT and (gt or cross):
             bad.append("t=0 forbids '<' at the zero position unless the diagram "
                        "has no '>' and no 'x' at all")
         zero_empty = d.zero_crosses == 0 and d.zero_core is None
@@ -275,7 +276,7 @@ def core_of(d: WeightDiagram) -> WeightDiagram:
     """Erase every cross.  For t=0 the result gains a ``+`` sign when its zero
     position is empty and it still contains a ``>`` (the canonical signless
     empty diagram stays signless)."""
-    tail = tuple(EMPTY if s is CROSS else s for s in d.tail_symbols)
+    tail = d.tail_symbols.replace(CROSS, EMPTY)
     sign = None
     if d.t == 0 and d.zero_core is None and GT in tail:
         sign = "+"
@@ -301,7 +302,7 @@ def block_type(core: WeightDiagram, series: str) -> int:
         raise DomainError(f"series must be 'B' or 'D', got {series!r}")
     if series == "B":
         return 1
-    return 2 if core.zero_core is GT else 0
+    return 2 if core.zero_core == GT else 0
 
 
 def is_stable(d: WeightDiagram) -> bool:

@@ -15,9 +15,8 @@ is the only ambiguity the forward map collapses.
 
 from __future__ import annotations
 
-from .diagram import (CROSS, EMPTY, GT, CORE_SYMBOLS, DomainError,
-                      WeightDiagram, build, check_valid, fmt, tail_length,
-                      validate)
+from .diagram import (CROSS, EMPTY, GT, LT, DomainError, WeightDiagram,
+                      check_valid, fmt, tail_length, validate)
 
 
 class UnhowlError(DomainError):
@@ -31,52 +30,29 @@ def howl(d: WeightDiagram) -> WeightDiagram:
 
 def _howl(d: WeightDiagram) -> WeightDiagram:
     """:func:`howl` of a diagram known to be valid."""
-    zero_has_core = d.zero_core is not None
-    # s-number of every off-zero cross: free (non-core) positions to its left
-    slots_before = []
-    free_seen = 0 if zero_has_core else 1
-    for symbol in d.tail_symbols:
-        slots_before.append(free_seen)
-        if symbol not in CORE_SYMBOLS:
-            free_seen += 1
-    new_stack = d.zero_crosses
-    positions: dict[int, int] = {}
-    for p in d.cross_positions():
-        s = slots_before[p - 1]
-        if d.t == 2:
-            positions[s + 1] = positions.get(s + 1, 0) + 1
-        elif s == 0:
-            new_stack += 1
-        else:
-            positions[s] = positions.get(s, 0) + 1
-    assert all(c == 1 for c in positions.values())
-    tail_map = {p: CROSS for p in positions}
+    # deleting the core symbols puts every cross on its s-number
+    tail = d.tail_symbols.replace(GT, "").replace(LT, "")
+    stack = d.zero_crosses
     if d.t == 2:
-        return build(2, new_stack, GT, tail_map)
-    h = build(d.t, new_stack, None, tail_map)
-    if d.t == 1:
-        if new_stack == 0:
-            return h
-        want = tail_length(d)
-        if want == new_stack:
-            return h.with_sign("-")
-        assert want == new_stack - 1
-        return h.with_sign("+")
-    # t == 0: copy the sign whenever the compacted diagram still needs one
-    if new_stack == 0 and h.has_symbols:
-        return h.with_sign(d.sign)
-    return h
-
-
-def _noncore_slots(g: WeightDiagram, n: int) -> list[int]:
-    """First ``n`` positions of ``g`` that hold no core symbol, ascending."""
-    out = []
-    p = 0 if g.zero_core is None else 1
-    while len(out) < n:
-        if p == 0 or g.sym(p) not in CORE_SYMBOLS:
-            out.append(p)
-        p += 1
-    return out
+        return WeightDiagram(2, stack, GT, tail)
+    if d.zero_core is not None:
+        # the zero core is forgotten: the first free position becomes zero
+        if tail[:1] == CROSS:
+            stack += 1
+        tail = tail[1:]
+    if d.t == 0:
+        # copy the sign whenever the compacted diagram still needs one
+        return WeightDiagram(0, stack, None, tail, None if stack else d.sign)
+    want = tail_length(d)
+    if stack == 0:
+        sign = None
+    elif want == stack:
+        sign = "-"
+    elif want == stack - 1:
+        sign = "+"
+    else:
+        raise DomainError(f"the tail length of {fmt(d)!r} does not survive compaction")
+    return WeightDiagram(1, stack, None, tail, sign)
 
 
 def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
@@ -99,30 +75,20 @@ def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
 def _unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
     """:func:`unhowl` of a valid core ``g`` and a valid core-free ``h`` of
     the same type; the lifts are still checked."""
-    q = h.zero_crosses
-    off = h.cross_positions()
-    hi = max(off) + 1 if off else 1
-    slots = _noncore_slots(g, hi)
-    stack = q
-    spill: list[int] = []
-    if h.t == 2:
-        placed = [slots[v - 1] for v in off]
-    elif g.zero_core is not None and h.sign == "+":
-        # one stack cross spills onto the first free slot of the core
-        stack = q - 1
-        spill = [slots[0]]
-        placed = [slots[v] for v in off]
-    else:
-        placed = [slots[v] for v in off]
-    tail_map = {p: CROSS for p in spill + placed}
-    for p in list(tail_map):
-        if p == 0:
-            raise UnhowlError("a spilled cross cannot share the zero position")
-        if g.sym(p) is not EMPTY:
-            raise UnhowlError(f"core symbol occupies the needed slot {p}")
-    base = {p: s for p, s in enumerate(g.tail_symbols, 1) if s is not EMPTY}
-    base.update(tail_map)
-    lift = build(g.t, stack, g.zero_core, base)
+    stack, fill = h.zero_crosses, h.tail_symbols
+    if h.t != 2 and g.zero_core is not None:
+        # the first free slot of the core is position 0 of ``h``: it takes
+        # one stack cross when ``h`` is signed '+'
+        if h.sign == "+":
+            stack, fill = stack - 1, CROSS + fill
+        else:
+            fill = EMPTY + fill
+    # the symbols of ``fill`` go onto the empty positions of the core in
+    # order; what is left of them runs on past its end
+    *cores, last = g.tail_symbols.split(EMPTY)
+    fill = fill.ljust(len(cores), EMPTY)
+    tail = "".join(c + s for c, s in zip(cores, fill)) + last + fill[len(cores):]
+    lift = WeightDiagram(g.t, stack, g.zero_core, tail)
 
     results: list[WeightDiagram]
     if g.t == 1:
@@ -141,9 +107,10 @@ def _unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
     else:
         results = [lift]
     for r in results:
-        if validate(r):
+        bad = validate(r)
+        if bad:
             raise UnhowlError(f"{fmt(h)!r} does not fit into core {fmt(g)!r}: "
-                              + "; ".join(validate(r)))
+                              + "; ".join(bad))
     return results
 
 
@@ -157,13 +124,10 @@ def tau(h: WeightDiagram) -> WeightDiagram:
     if h.t != 2 or not h.is_core_free():
         raise DomainError("tau expects a core-free t=2 diagram")
     p = h.zero_crosses
-    rest = {v - 1: s for v, s in enumerate(h.tail_symbols, 1)
-            if v >= 2 and s is not EMPTY}
-    if h.sym(1) is CROSS:
-        return build(1, p + 1, None, rest, "+")
-    if p > 0:
-        return build(1, p, None, rest, "-")
-    return build(1, 0, None, rest)
+    rest = h.tail_symbols[1:]
+    if h.tail_symbols[:1] == CROSS:
+        return WeightDiagram(1, p + 1, None, rest, "+")
+    return WeightDiagram(1, p, None, rest, "-" if p else None)
 
 
 def tau_inv(h: WeightDiagram) -> WeightDiagram:
@@ -171,8 +135,6 @@ def tau_inv(h: WeightDiagram) -> WeightDiagram:
     check_valid(h)
     if h.t != 1 or not h.is_core_free():
         raise DomainError("tau_inv expects a core-free t=1 diagram")
-    shifted = {v + 1: s for v, s in enumerate(h.tail_symbols, 1) if s is not EMPTY}
     if h.sign == "+":
-        shifted[1] = CROSS
-        return build(2, h.zero_crosses - 1, GT, shifted)
-    return build(2, h.zero_crosses, GT, shifted)
+        return WeightDiagram(2, h.zero_crosses - 1, GT, CROSS + h.tail_symbols)
+    return WeightDiagram(2, h.zero_crosses, GT, EMPTY + h.tail_symbols)

@@ -97,18 +97,18 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
     # cross/empty at (u, u+1), u+1 possibly past its stored tail, and both
     # diagrams lose those two positions; the target has nothing right of u,
     # so what is left of it is a prefix
-    tail = list(f.tail_symbols)
+    tail = f.tail_symbols
     for u in reversed(g.cross_positions()):
-        if tail[u - 1:u + 1] not in ([CROSS, EMPTY], [CROSS]):
+        if tail[u - 1:u + 1] not in (CROSS + EMPTY, CROSS):
             if trace is not None:
                 _note(trace, "no cross/empty", f.with_tail(tail),
                       g.with_tail(g.tail_symbols[:u]))
             return ZERO
-        del tail[u - 1:u + 1]
+        tail = tail[:u - 1] + tail[u + 1:]
         if trace is not None:
             _note(trace, f"shrink at {u}", f.with_tail(tail),
                   g.with_tail(g.tail_symbols[:u - 1]))
-    f, g = f.with_tail(tail), g.with_tail(())
+    f, g = f.with_tail(tail), g.with_tail("")
 
     t = f.t
     if t == 1:
@@ -155,7 +155,7 @@ def _even_stack(f: WeightDiagram, i: int,
                 trace: list[Step] | None) -> GradedMult:
     """Even-series source against the bare-stack target of size i >= 1:
     trade one stack cross for the zero ``>`` and continue in type 2."""
-    if f.zero_crosses == 0 or f.sym(1) is CROSS:
+    if f.zero_crosses == 0 or f.sym(1) == CROSS:
         _note(trace, "stack mismatch", f, f"x^{i}")
         return ZERO
     f2 = WeightDiagram(2, f.zero_crosses - 1, GT, f.tail_symbols[1:])
@@ -175,7 +175,7 @@ def _type2(f: WeightDiagram, i: int, trace: list[Step] | None,
         f = _drop_prefix(f, 2 * i, p - i, None)
         _note(trace, "shorten gap", f, ">")
     # target is the bare ``>``: drop it and return to the even series
-    stack = f.zero_crosses + (1 if f.sym(1) is CROSS else 0)
+    stack = f.zero_crosses + (1 if f.sym(1) == CROSS else 0)
     f2 = WeightDiagram(0, stack, None, f.tail_symbols[1:])
     _note(trace, "drop zero >", f2, "o")
     return _base_even(f2, doubled=double_bare and stack == 0)

@@ -73,9 +73,9 @@ def _component_dim(nu: WeightDiagram) -> int:
         raise DomainError("component still has crosses")
     if nu.count(LT):
         raise DomainError("component keeps odd directions; dimension is not so-like")
-    positions = sorted((p for p, s in enumerate(nu.tail_symbols, 1) if s is GT),
+    positions = sorted((p for p, s in enumerate(nu.tail_symbols, 1) if s == GT),
                        reverse=True)
-    if nu.zero_core is GT:
+    if nu.zero_core == GT:
         positions.append(0)
     shift = Q(1, 2) if nu.t == 1 else Q(0)
     a = [Q(p) + shift for p in positions]

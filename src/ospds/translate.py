@@ -45,11 +45,11 @@ def _swap_zero(d: WeightDiagram) -> WeightDiagram:
         c = d.zero_core
         if d.sym(1) in CORE_SYMBOLS:
             raise DomainError("position 1 already holds a core symbol")
-        if d.sym(1) is CROSS:
-            out = WeightDiagram(1, i + 1, None, (c,) + d.tail_symbols[1:], "+")
+        if d.sym(1) == CROSS:
+            out = WeightDiagram(1, i + 1, None, c + d.tail_symbols[1:], "+")
         else:
             sign = "-" if i > 0 else None
-            out = WeightDiagram(1, i, None, (c,) + d.tail_symbols[1:], sign)
+            out = WeightDiagram(1, i, None, c + d.tail_symbols[1:], sign)
         return out
     # backward: a core symbol at position 1 returns under the stack
     c = d.sym(1)
@@ -59,8 +59,8 @@ def _swap_zero(d: WeightDiagram) -> WeightDiagram:
     if d.sign == "+":
         if i < 1:
             raise DomainError("'+' sign requires a non-empty zero stack")
-        return WeightDiagram(1, i - 1, c, (CROSS,) + rest)
-    return WeightDiagram(1, i, c, (EMPTY,) + rest)
+        return WeightDiagram(1, i - 1, c, CROSS + rest)
+    return WeightDiagram(1, i, c, EMPTY + rest)
 
 
 def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
@@ -95,7 +95,7 @@ def shrink(d: WeightDiagram, u: int) -> WeightDiagram:
     check_valid(d)
     if u < 1:
         raise DomainError("shrink needs u >= 1")
-    if d.sym(u) is not CROSS or d.sym(u + 1) is not EMPTY:
+    if d.sym(u) != CROSS or d.sym(u + 1) != EMPTY:
         raise DomainError(f"positions {u},{u + 1} of {fmt(d)!r} are not cross/empty")
     tail = d.tail_symbols[:u - 1] + d.tail_symbols[u + 1:]
     return d.with_tail(tail)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import (CROSS, GT, LT, DomainError, ParseError, Symbol,
+from .diagram import (CROSS, GT, LT, MAX_WIDTH, DomainError, ParseError,
                       WeightDiagram, atypicality, build, check_valid, fmt)
 
 Q = Fraction
@@ -65,13 +65,16 @@ def _check_shape(w: DominantWeight) -> None:
 
 
 def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
-    """Diagram of a shifted dominant weight; rejects non-dominant input."""
+    """Diagram of a shifted dominant weight; rejects non-dominant input and
+    coordinates above :data:`~ospds.diagram.MAX_WIDTH`."""
     _check_shape(w)
     shift = Q(1, 2) if w.series == "B" else Q(0)
     acoord = [abs(x) - shift for x in w.a]
     bcoord = [abs(x) - shift for x in w.b]
     if any(c < 0 or c.denominator != 1 for c in acoord + bcoord):
         raise DomainError("coordinates must land on non-negative integers")
+    if any(c > MAX_WIDTH for c in acoord + bcoord):
+        raise DomainError(f"coordinate above the cap MAX_WIDTH = {MAX_WIDTH}")
     gts: dict[int, int] = {}
     lts: dict[int, int] = {}
     for c in acoord:
@@ -79,7 +82,7 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
     for c in bcoord:
         lts[int(c)] = lts.get(int(c), 0) + 1
 
-    positions: dict[int, Symbol] = {}
+    positions: dict[int, str] = {}
     for p in sorted(set(gts) | set(lts)):
         if p == 0:
             continue
@@ -95,6 +98,8 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
                               f"coordinates collide at position {p}")
     g0, l0 = gts.get(0, 0), lts.get(0, 0)
     stack = min(g0, l0)
+    if stack > MAX_WIDTH:
+        raise DomainError(f"zero stack above the cap MAX_WIDTH = {MAX_WIDTH}")
     zero_core = None
     if g0 - stack == 1:
         zero_core = GT
@@ -105,11 +110,11 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
 
     sign = None
     if w.series == "D":
-        if zero_core is GT:
+        if zero_core == GT:
             t = 2
         else:
             t = 0
-            if zero_core is LT and w.m > 0:
+            if zero_core == LT and w.m > 0:
                 raise DomainError("not dominant: '<' at the zero position needs m = 0")
         if t == 0 and stack == 0 and zero_core is None and w.m >= 1:
             sign = "+" if w.a[-1] > 0 else "-"
@@ -119,7 +124,7 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
         minus_half = sum(1 for x in w.a if x == Q(-1, 2))
         if plus_half > 1:
             raise DomainError("not dominant: two epsilon coefficients equal +1/2")
-        if zero_core is GT and plus_half == 0:
+        if zero_core == GT and plus_half == 0:
             raise DomainError("not dominant: an unpaired zero '>' needs an "
                               "epsilon coefficient +1/2")
         if minus_half > stack:
@@ -141,21 +146,20 @@ def diagram_to_weight(d: WeightDiagram, m: int, n: int) -> DominantWeight:
     shift = Q(1, 2) if series == "B" else Q(0)
     a: list[Fraction] = []
     b: list[Fraction] = []
-    for p in range(1, d.width):
-        s = d.sym(p)
+    for p, s in enumerate(d.tail_symbols, 1):
         if s in (GT, CROSS):
             a.append(p + shift)
         if s in (LT, CROSS):
             b.append(p + shift)
     if series == "B":
-        plus = 1 if (d.zero_core is GT or d.sign == "+") else 0
+        plus = 1 if (d.zero_core == GT or d.sign == "+") else 0
         a.extend([Q(1, 2)] * plus)
         a.extend([Q(-1, 2)] * (d.zero_crosses - (plus if d.zero_core is None else 0)))
-        b.extend([Q(1, 2)] * (d.zero_crosses + (1 if d.zero_core is LT else 0)))
+        b.extend([Q(1, 2)] * (d.zero_crosses + (1 if d.zero_core == LT else 0)))
     else:
-        zeros = d.zero_crosses + (1 if d.zero_core is GT else 0)
+        zeros = d.zero_crosses + (1 if d.zero_core == GT else 0)
         a.extend([Q(0)] * zeros)
-        b.extend([Q(0)] * (d.zero_crosses + (1 if d.zero_core is LT else 0)))
+        b.extend([Q(0)] * (d.zero_crosses + (1 if d.zero_core == LT else 0)))
     a.sort(reverse=True)
     b.sort(reverse=True)
     if d.t == 0 and d.sign == "-":

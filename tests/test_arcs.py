@@ -33,7 +33,7 @@ def free_positions(A):
     ends = {e for a in A.arcs for e in a.ends}
     reach = max((a.reach for a in A.arcs), default=0)
     out = [0] if h.zero_crosses == 0 and h.zero_core is None else []
-    out.extend(p for p in range(1, reach + 2) if h.sym(p) is EMPTY and p not in ends)
+    out.extend(p for p in range(1, reach + 2) if h.sym(p) == EMPTY and p not in ends)
     return out
 
 

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospds.cli import main
+from ospds.diagram import DomainError, ParseError, parse, validate
+
+PINNED = json.loads((Path(__file__).parent.parent / "perfbench" / "pinned.json").read_text())
 
 
 @pytest.fixture
@@ -149,8 +153,9 @@ class TestWeightInput:
         assert code == 1 and err.startswith("error: expected")
 
 
-# short tokens: a long digit run asks for a diagram as wide as its value
-_token = st.one_of(st.text("0123456789-+/,.xaBD ", max_size=5),
+# up to 10 characters, so that digit runs reach 9-digit coordinates, which
+# the width cap refuses before any diagram is built
+_token = st.one_of(st.text("0123456789-+/,.xaBD ", max_size=10),
                    st.sampled_from(["B", "D", "1", "1/2", "-1/2", "0", "2/0", ""]))
 
 
@@ -160,3 +165,95 @@ _token = st.one_of(st.text("0123456789-+/,.xaBD ", max_size=5),
 def test_weight_fuzz_never_raises(head, a, b):
     text = " ".join(head) + " / " + ",".join(a) + " / " + ",".join(b)
     assert main(["parse", text]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("entry", PINNED, ids=lambda e: " ".join(e["argv"]))
+def test_pinned_output(run, entry):
+    """The outputs the benchmark pins stay byte-identical."""
+    assert run(*entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["ds", "-x^4000000", "--t", "1"],
+    ["ds", "x^" + "9" * 5000, "--t", "0"],
+    ["ds", "+o" + "xo" * 5001, "--t", "0"],
+    ["parse", "D 1 0 / 1000000000 / -"],
+])
+def test_input_above_the_cap_exits_1(run, argv):
+    code, out, err = run(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "MAX_WIDTH = 10000" in err
+
+
+# -- argv fuzz over every subcommand ----------------------------------------------
+
+_stack = st.sampled_from(["x", "x^2", "x^3", "x^0", "x^10001", "x^" + "9" * 30])
+_zero = st.one_of(st.sampled_from(["o", ">", "<"]), _stack,
+                  st.builds("{}/{}".format, _stack, st.sampled_from("><")))
+_weight = st.sampled_from(["B 2 2 / 1/2,-1/2 / 1/2,1/2", "D 1 0 / 3 / -",
+                           "D 1 0 / 1000000000 / -", "B 1 1 / 1/0 / 1/2",
+                           "D 2 1 / 3,-1 / 1", "B 1 1 / 1/2"])
+_small = st.integers(-1, 5).map(str)
+_VALUES = {"--series": st.sampled_from(["B", "D", "C"]),
+           "--rank": _small, "-k": _small, "--width": _small,
+           "--m": _small, "--n": _small}
+# subcommand -> (number of diagram arguments, required flags, optional flags)
+_COMMANDS = {
+    "parse": (1, [], ["--t", "--json"]),
+    "validate": (1, ["--t"], []),
+    "core": (1, ["--t"], []),
+    "howl": (1, ["--t"], []),
+    "unhowl": (2, ["--t"], []),
+    "tau": (1, ["--t"], ["--inverse"]),
+    "stabilize": (1, ["--t"], []),
+    "arcs": (1, ["--t"], ["--render", "--json"]),
+    "es": (1, ["--t", "--series"], ["--render", "--json"]),
+    "ds": (1, ["--t"], ["--rank", "--json", "--osp"]),
+    "oracle": (2, ["--t"], ["--trace"]),
+    "sdim": (1, ["--t", "--m", "--n"], []),
+    "enumerate": (0, ["--t", "-k", "--width"], []),
+}
+
+
+def _valid(text: str, t: str) -> bool:
+    try:
+        return not validate(parse(text, int(t)))
+    except (ParseError, DomainError):
+        return False
+
+
+@st.composite
+def _argv(draw):
+    """Mostly grammar-based diagrams with a block type that fits them."""
+    cmd = draw(st.sampled_from(sorted(_COMMANDS)))
+    diagrams, required, optional = _COMMANDS[cmd]
+    argv, texts = [cmd], []
+    for _ in range(diagrams):
+        if cmd == "parse" and draw(st.booleans()):
+            argv.append(draw(_weight))
+            continue
+        if draw(st.integers(0, 3)):
+            text = (draw(st.sampled_from(["", "+", "-"])) + draw(_zero)
+                    + draw(st.text("ox><", max_size=8)))
+        else:
+            text = draw(st.text("ox><+-^/019a ", max_size=6))
+        argv.append(text)
+        texts.append(text)
+    fits = [t for t in "012" if all(_valid(text, t) for text in texts)]
+    # a required flag is left out now and then, for the usage errors
+    flags = [f for f in required if draw(st.integers(0, 9))]
+    flags += [f for f in optional if draw(st.booleans())]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag == "--t":
+            argv.append(draw(st.sampled_from(fits if fits and draw(st.integers(0, 4))
+                                             else ["0", "1", "2", "3"])))
+        elif flag in _VALUES:
+            argv.append(draw(_VALUES[flag]))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz_never_raises(argv):
+    assert main(argv) in (0, 1, 2)

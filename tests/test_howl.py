@@ -58,7 +58,7 @@ class TestHowl:
                         if not is_stable(f):
                             continue
                         erased = {p: s for p, s in enumerate(f.tail_symbols, 1)
-                                  if s.value == "x"}
+                                  if s == "x"}
                         from ospds.diagram import CROSS, build
                         skeleton = build(f.t, f.zero_crosses,
                                          f.zero_core if f.t == 2 else None,

@@ -87,6 +87,6 @@ class TestShrinkPhi:
         u = 2
         small = shrink(d, u)
         from ospds.diagram import CROSS, EMPTY
-        widened = small.with_tail(small.tail_symbols[:u - 1] + (CROSS, EMPTY)
+        widened = small.with_tail(small.tail_symbols[:u - 1] + CROSS + EMPTY
                                   + small.tail_symbols[u - 1:])
         assert widened == d
