@@ -114,6 +114,15 @@ def _print_decomposition(dec: Decomposition, source: WeightDiagram, rank: int,
         print(f"{fmt(d):<20} {g}")
 
 
+def _decimal(n: int) -> str:
+    """``str(n)``, which refuses ints of more than 4,300 digits, in chunks."""
+    chunk = 10 ** 4000
+    if abs(n) < chunk:
+        return str(n)
+    high, low = divmod(abs(n), chunk)
+    return ("-" if n < 0 else "") + _decimal(high) + str(low).zfill(4000)
+
+
 def _shield_signed_diagrams(argv: list[str]) -> list[str]:
     """Keep argparse from reading a '-'-signed diagram as a flag.  A leading
     space is harmless: the diagram parser strips it."""
@@ -258,7 +267,7 @@ def _dispatch(args) -> int:
 
     if cmd == "sdim":
         d = _parse_diagram(args.diagram, args.t)
-        print(superdimension(d, args.m, args.n))
+        print(_decimal(superdimension(d, args.m, args.n)))
         return 0
 
     if cmd == "enumerate":

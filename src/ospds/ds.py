@@ -106,11 +106,14 @@ def _ds1(lam: WeightDiagram) -> Decomposition:
 
 
 def dsr(lam: WeightDiagram, r: int) -> Decomposition:
-    """r-fold iteration of :func:`ds1` with multiplicities composed."""
+    """r-fold iteration of :func:`ds1` with multiplicities composed.  From
+    rank k + 1 on the decomposition is empty, so at most k + 1 steps run."""
     if r < 0:
         raise DomainError("rank must be non-negative")
     current = Decomposition(lam.t, {check_valid(lam): ONE})
     for _ in range(r):
+        if not current.components:
+            break
         nxt = Decomposition(lam.t)
         for nu, g in current.components.items():
             for nu2, g2 in _ds1(nu).components.items():

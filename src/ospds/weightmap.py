@@ -193,7 +193,16 @@ def parse_weight(text: str) -> DominantWeight:
     return DominantWeight(series, m, n, rationals(sections[1]), rationals(sections[2]))
 
 
+_NUMBER_RE = re.compile(r"[+-]?0*([0-9]+)(?:/0*([0-9]+))?")
+
+
 def _number(kind, token: str):
+    # count digits before converting, because int() refuses very long runs;
+    # a numerator longer than the denominator by more digits than the cap
+    # has is surely above the cap
+    m = _NUMBER_RE.fullmatch(token)
+    if m and len(m[1]) > len(m[2] or "") + len(str(MAX_WIDTH)):
+        raise DomainError(f"weight number above the cap MAX_WIDTH = {MAX_WIDTH}")
     try:
         return kind(token)
     except (ValueError, ZeroDivisionError):

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,16 +175,31 @@ def test_pinned_output(run, entry):
     assert run(*entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])
 
 
+def test_superdimension_longer_than_str_allows(run):
+    # 2^1499 1500! has 4,566 digits, more than str() converts
+    code, out, err = run("sdim", "+" + "ox" * 1500, "--t", "0", "--m", "1500", "--n", "1500")
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{2 ** 1499 * math.factorial(1500)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("argv", [
     ["ds", "-x^4000000", "--t", "1"],
     ["ds", "x^" + "9" * 5000, "--t", "0"],
     ["ds", "+o" + "xo" * 5001, "--t", "0"],
     ["parse", "D 1 0 / 1000000000 / -"],
+    ["parse", "D 1 0 / " + "9" * 5000 + " / -"],
 ])
 def test_input_above_the_cap_exits_1(run, argv):
     code, out, err = run(*argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "MAX_WIDTH = 10000" in err
+    # one line naming the cap: no echo of the input, no grammar
+    assert err.count("\n") == 1 and len(err) < 100
 
 
 # -- argv fuzz over every subcommand ----------------------------------------------

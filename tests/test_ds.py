@@ -79,6 +79,11 @@ class TestDsr:
     def test_rank_beyond_atypicality_is_empty(self):
         assert dsr(P("+xoox", 1), 3).components == {}
 
+    def test_huge_rank_stops_once_empty(self):
+        # the decomposition is empty from rank k + 1 on, so the steps stop there
+        for lam in (P("x", 0), P("-x^2oooox", 1), P("x/>xoo", 2)):
+            assert dsr(lam, 10 ** 6).components == {}
+
     def test_rank_two_structure(self):
         lam = P("-x^2oooox", 1)
         dec = dsr(lam, 2)

@@ -2,10 +2,13 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ospds.diagram import GT, LT, DomainError, atypicality, enumerate_corefree
-from ospds.ds import ds1
-from ospds.sdim import superdimension, weyl_dim_so
+from ospds.diagram import (CROSS, GT, LT, DomainError, WeightDiagram, atypicality,
+                           build, enumerate_corefree, validate)
+from ospds.ds import ds1, dsr
+from ospds.howl import unhowl
+from ospds.sdim import _component_dim, superdimension, weyl_dim_so
 from conftest import P
 
 
@@ -51,7 +54,8 @@ class TestSuperdimension:
         assert superdimension(P("+o><", 0), 1, 1) == 0
         assert superdimension(P("><", 1), 1, 1) == 0
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    # the full reduction has up to 2^m states: m = 20 would not finish
+    @pytest.mark.parametrize("m", range(1, 21))
     def test_spread_cross_families(self, m):
         expected = 2 ** (m - 1) * math.factorial(m)
         assert abs(superdimension(P("+" + "ox" * m, 0), m, m)) == expected
@@ -87,3 +91,64 @@ class TestSuperdimension:
         # one cross behind a single core marker: the two signed components
         # each contribute a one-dimensional so_2 module
         assert superdimension(P("+o>ox", 0), 2, 1) == 2
+
+
+# -- the arc-forest route against the full reduction -------------------------------
+
+def _by_full_reduction(lam):
+    """Superdimension as the signed count of the components of the rank-k
+    reduction times their dimensions."""
+    if lam.count(LT):  # n > k
+        return 0
+    dec = dsr(lam, atypicality(lam))
+    return sum((g.d0 - g.d1) * _component_dim(nu) for nu, g in dec.components.items())
+
+
+def _agrees(lam):
+    return superdimension(lam, *_mn(lam)) == _by_full_reduction(lam)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_matches_full_reduction_on_the_pool(t):
+    pool = [lam for k in range(5) for lam in enumerate_corefree(t, k, 10)]
+    pool += enumerate_corefree(t, 5, 9)
+    bad = [str(lam) for lam in pool if not _agrees(lam)]
+    assert not bad, bad[:10]
+
+
+# cores made of '>' only: any '<' makes n > k and the superdimension 0
+_GT_CORES = {0: ["+o>", "+oo>>", "+o>o>"], 1: [">", "o>", ">o>", "oo>>"],
+             2: [">>", ">o>", ">o>>"]}
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_matches_full_reduction_on_cored_lifts(t):
+    lifts = [nu for text in _GT_CORES[t] for k in range(1, 5)
+             for h in enumerate_corefree(t, k, 7) for nu in unhowl(P(text, t), h)]
+    assert len(lifts) > 300
+    bad = [str(lam) for lam in lifts if not _agrees(lam)]
+    assert not bad, bad[:10]
+
+
+@st.composite
+def _diagrams(draw):
+    """Core-free diagrams of width up to 40 with k <= 7, zero stacks and
+    signs, lifted into cores of '>' and '<' at zero and in the tail."""
+    t = draw(st.sampled_from([0, 1, 2]))
+    k = draw(st.integers(0, 7))
+    stack = draw(st.integers(0, k))
+    crosses = draw(st.lists(st.integers(1, 39), min_size=k - stack,
+                            max_size=k - stack, unique=True))
+    body = build(t, stack, GT if t == 2 else None, {p: CROSS for p in crosses})
+    signs = [sg for sg in (None, "+", "-") if not validate(body.with_sign(sg))]
+    h = body.with_sign(draw(st.sampled_from(signs)))
+    tail = draw(st.text(alphabet="oo>>", max_size=8)) + draw(st.sampled_from(["", "", "<"]))
+    zero = GT if t == 2 else draw(st.sampled_from([None, None, GT, LT] if t == 1 else [None]))
+    core = WeightDiagram(t, 0, zero, tail, "+" if t == 0 and GT in tail else None)
+    return draw(st.sampled_from(unhowl(core, h)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=_diagrams())
+def test_matches_full_reduction_on_random_diagrams(lam):
+    assert _agrees(lam)
