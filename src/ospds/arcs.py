@@ -104,20 +104,23 @@ def maximal_arcs(diagram: ArcDiagram) -> list[Arc]:
 
 
 def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
-    """Erase a maximal arc together with its supporting cross.
-
-    The zero stack loses its top cross when the support is 0.  An odd-series
-    sign survives while the stack stays non-empty; an even-series diagram
-    whose stack empties out comes back unsigned and the caller re-signs it.
-    """
+    """Erase a maximal arc together with its supporting cross."""
     if arc not in diagram.roots:
         raise DomainError("only maximal arcs can be removed")
-    d = diagram.base
-    if arc.support == 0:
-        sign = d.sign if d.t == 1 and d.zero_crosses > 1 else None
-        return WeightDiagram(d.t, d.zero_crosses - 1, d.zero_core,
-                             d.tail_symbols, sign)
-    return d.set_positions({arc.support: EMPTY})
+    return _erase(diagram.base, [arc.support])
+
+
+def _erase(d: WeightDiagram, supports: list[int]) -> WeightDiagram:
+    """Erase the crosses at ``supports``, each 0 the top of the zero stack.
+    An odd-series sign survives while the stack stays non-empty; an
+    even-series diagram whose stack empties comes back unsigned."""
+    stack = d.zero_crosses - supports.count(0)
+    tail = list(d.tail_symbols)
+    for p in supports:
+        if p:
+            tail[p - 1] = EMPTY
+    return WeightDiagram(d.t, stack, d.zero_core, "".join(tail),
+                         d.sign if stack or d.t == 0 else None)
 
 
 def free_left(diagram: ArcDiagram, arc: Arc) -> int:

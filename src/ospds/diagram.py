@@ -295,16 +295,6 @@ def tail_length(d: WeightDiagram) -> int:
     return d.zero_crosses
 
 
-def block_type(core: WeightDiagram, series: str) -> int:
-    """Block type from a core diagram: B-series -> 1; D-series -> 2 when
-    ``>`` sits at zero, else 0."""
-    if series not in ("B", "D"):
-        raise DomainError(f"series must be 'B' or 'D', got {series!r}")
-    if series == "B":
-        return 1
-    return 2 if core.zero_core == GT else 0
-
-
 def is_stable(d: WeightDiagram) -> bool:
     """True when every cross strictly precedes every core symbol, the zero
     ``>`` of the even series being exempt."""

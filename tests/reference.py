@@ -1,0 +1,64 @@
+"""The reduction by iterated single steps, the reference the tests compare
+the order-filter route of :mod:`ospds.ds` against.
+
+One step lists, for every maximal arc of the compacted diagram, the diagram
+left after removing it, lifted back into the block, with the graded
+multiplicity ``mult_rule`` reads off the free-left count ``e``.
+``layers`` iterates the step over every intermediate state and composes the
+multiplicities in the parity-shift group ring.
+"""
+
+from ospds.arcs import _build_arcs, free_left, maximal_arcs, remove_arc
+from ospds.diagram import DomainError, WeightDiagram, check_valid, core_of
+from ospds.ds import ONE, Decomposition, GradedMult, _sign_variants
+from ospds.howl import _howl, _unhowl
+
+
+def gm_mul(x: GradedMult, y: GradedMult) -> GradedMult:
+    """Multiplication in the parity-shift group ring."""
+    return GradedMult(x.d0 * y.d0 + x.d1 * y.d1, x.d0 * y.d1 + x.d1 * y.d0)
+
+
+def mult_rule(t: int, e: int) -> GradedMult:
+    if t == 0:
+        return GradedMult(1, 0) if e % 2 == 0 else GradedMult(0, 1)
+    if e == 0:
+        return GradedMult(1, 0)
+    return GradedMult(2, 0) if e % 2 == 0 else GradedMult(0, 2)
+
+
+def _ds1(lam: WeightDiagram) -> Decomposition:
+    """One reduction step of a diagram known to be valid."""
+    g = core_of(lam)
+    diagram = _build_arcs(_howl(lam))
+    out = Decomposition(lam.t)
+    for arc in maximal_arcs(diagram):
+        mult = mult_rule(lam.t, free_left(diagram, arc))
+        for h2 in _sign_variants(remove_arc(diagram, arc)):
+            for nu in _unhowl(g, h2):
+                out.add(nu, mult)
+    return out
+
+
+def layers(lam: WeightDiagram):
+    """The iterated reductions of ``lam`` at rank 0, 1, ..., up to the first
+    empty one, at rank k + 1."""
+    current = Decomposition(lam.t, {check_valid(lam): ONE})
+    while True:
+        yield current
+        if not current.components:
+            return
+        nxt = Decomposition(lam.t)
+        for nu, g in current.components.items():
+            for nu2, g2 in _ds1(nu).components.items():
+                nxt.add(nu2, gm_mul(g, g2))
+        current = nxt
+
+
+def dsr(lam: WeightDiagram, r: int) -> Decomposition:
+    """r-fold iteration of :func:`_ds1` with multiplicities composed."""
+    if r < 0:
+        raise DomainError("rank must be non-negative")
+    for current, _ in zip(layers(lam), range(r + 1)):
+        pass
+    return current

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ospds.diagram import (CROSS, GT, LT, DomainError, ParseError,
-                           WeightDiagram, atypicality, block_type, build,
+                           WeightDiagram, atypicality, build,
                            core_of, enumerate_corefree, fmt,
                            is_stable, pari, parse, sigma, tail_length,
                            validate)
@@ -102,11 +102,6 @@ class TestStatistics:
     def test_tail_length_even_series(self):
         assert tail_length(P("x^2x", 0)) == 2
         assert tail_length(P("x^2/>x", 2)) == 2
-
-    def test_block_type(self):
-        assert block_type(P("+o>", 0), "B") == 1
-        assert block_type(P("+o>", 0), "D") == 0
-        assert block_type(P(">", 2), "D") == 2
 
     def test_is_stable_examples(self):
         assert is_stable(P("-x^2>o<", 1))

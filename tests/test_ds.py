@@ -1,10 +1,17 @@
+import math
+import time
+
+import pytest
+from hypothesis import given, settings
+
+import reference
 from ospds.diagram import (atypicality, core_of, enumerate_corefree, fmt,
                            is_stable, sigma, validate)
-from ospds.ds import (Decomposition, GradedMult, check_purity, ds1, ds_osp,
-                      dsr, gm_mul)
+from ospds.ds import Decomposition, GradedMult, check_purity, ds1, ds_osp, dsr
 from ospds.howl import UnhowlError, howl, tau, unhowl
 from ospds.translate import stabilize
-from conftest import P
+from reference import gm_mul
+from conftest import P, diagrams
 
 
 def dec_map(dec):
@@ -100,7 +107,63 @@ class TestDsr:
         for nu, g in ds1(lam).components.items():
             for nu2, g2 in ds1(nu).components.items():
                 step.add(nu2, gm_mul(g, g2))
+        assert reference.dsr(lam, 2).components == step.components
         assert dsr(lam, 2).components == step.components
+
+    @pytest.mark.parametrize("r", [1, 2, 2999, 3000])
+    def test_zero_stack_chain(self, r):
+        # 3,000 zero-stack arcs, each the parent of the next: one filter per
+        # rank, found without recursion
+        dec = dsr(P("-x^3000", 1), r)
+        want = P(f"-x^{3000 - r}" if r < 3000 else "o", 1)
+        assert dec.components == {want: GradedMult(1, 0)}
+
+    def test_rank_above_atypicality_skips_the_search(self):
+        t0 = time.perf_counter()
+        assert dsr(P("+" + "ox" * 40, 0), 41).components == {}
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_side_by_side_arcs(self):
+        # 14 roots: C(14, 7) filters of 7 arcs, each in both signings
+        lam = P("+" + "ox" * 14, 0)
+        assert len(dsr(lam, 7).components) == 6864
+        assert dsr(lam, 14).components == {
+            P("o", 0): GradedMult(2 ** 13 * math.factorial(14), 0)}
+
+
+def _matches_reference(lam):
+    for r, want in enumerate(reference.layers(lam)):
+        dec = dsr(lam, r)
+        assert dec.components == want.components, (fmt(lam), r)
+        assert check_purity(dec, lam), (fmt(lam), r)
+    assert r == atypicality(lam) + 1
+
+
+class TestAgainstTheIteratedReference:
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_pool(self, t):
+        for k in range(5):
+            for lam in enumerate_corefree(t, k, 10):
+                _matches_reference(lam)
+        for lam in enumerate_corefree(t, 5, 9):
+            _matches_reference(lam)
+
+    def test_cored_lifts(self, small_cores):
+        for t, cores in small_cores.items():
+            for g in cores:
+                for k in range(1, 4):
+                    for h in enumerate_corefree(t, k, 7):
+                        try:
+                            lifts = unhowl(g, h)
+                        except UnhowlError:
+                            continue
+                        for lam in lifts:
+                            _matches_reference(lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams())
+    def test_random_diagrams(self, lam):
+        _matches_reference(lam)
 
 
 class TestPurity:

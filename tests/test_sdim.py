@@ -2,14 +2,14 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from ospds.diagram import (CROSS, GT, LT, DomainError, WeightDiagram, atypicality,
-                           build, enumerate_corefree, validate)
-from ospds.ds import ds1, dsr
+from ospds.diagram import GT, LT, DomainError, atypicality, enumerate_corefree
+from ospds.ds import ds1
 from ospds.howl import unhowl
 from ospds.sdim import _component_dim, superdimension, weyl_dim_so
-from conftest import P
+from conftest import P, diagrams
+from reference import dsr
 
 
 class TestWeylDim:
@@ -130,25 +130,7 @@ def test_matches_full_reduction_on_cored_lifts(t):
     assert not bad, bad[:10]
 
 
-@st.composite
-def _diagrams(draw):
-    """Core-free diagrams of width up to 40 with k <= 7, zero stacks and
-    signs, lifted into cores of '>' and '<' at zero and in the tail."""
-    t = draw(st.sampled_from([0, 1, 2]))
-    k = draw(st.integers(0, 7))
-    stack = draw(st.integers(0, k))
-    crosses = draw(st.lists(st.integers(1, 39), min_size=k - stack,
-                            max_size=k - stack, unique=True))
-    body = build(t, stack, GT if t == 2 else None, {p: CROSS for p in crosses})
-    signs = [sg for sg in (None, "+", "-") if not validate(body.with_sign(sg))]
-    h = body.with_sign(draw(st.sampled_from(signs)))
-    tail = draw(st.text(alphabet="oo>>", max_size=8)) + draw(st.sampled_from(["", "", "<"]))
-    zero = GT if t == 2 else draw(st.sampled_from([None, None, GT, LT] if t == 1 else [None]))
-    core = WeightDiagram(t, 0, zero, tail, "+" if t == 0 and GT in tail else None)
-    return draw(st.sampled_from(unhowl(core, h)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(lam=_diagrams())
+@given(lam=diagrams())
 def test_matches_full_reduction_on_random_diagrams(lam):
     assert _agrees(lam)
