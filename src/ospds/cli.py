@@ -4,12 +4,19 @@ Every subcommand that reads a diagram takes ``--t {0,1,2}``; a diagram string
 alone cannot always decide the series (a leading ``>`` is a type-1 core
 symbol or the type-2 marker).  Exit codes: 0 success, 1 domain error, 2 usage
 or parse error (with the grammar printed).  All output is deterministic.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and never changed afterwards: argparse keeps no state between
+``parse_args`` calls, and writes usage and errors to the ``sys.stdout`` and
+``sys.stderr`` of the moment.  Importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import arcs as arcmod
@@ -29,6 +36,7 @@ def _add_diagram_arg(p: argparse.ArgumentParser, name: str = "diagram") -> None:
                    help="block type of the diagram")
 
 
+@functools.cache
 def _mk_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ospds",
                                  description="weight-diagram calculus for osp(m|2n)")
@@ -131,11 +139,24 @@ def _shield_signed_diagrams(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _mk_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = ap.parse_args(_shield_signed_diagrams(argv))
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (``ospds enumerate ... | head``): send
+        # what is still buffered, and the flush at exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _run(argv: list[str]) -> int:
+    try:
+        args = _mk_parser().parse_args(_shield_signed_diagrams(argv))
     except SystemExit as e:
         return 0 if e.code == 0 else 2
 
@@ -271,7 +292,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "enumerate":
-        for d in dg.enumerate_corefree(args.t, args.k, args.width):
+        for d in dg._iter_corefree(args.t, args.k, args.width):
             print(fmt(d))
         return 0
 

@@ -337,9 +337,13 @@ def enumerate_corefree(t: int, k: int, width: int) -> list[WeightDiagram]:
     and every coordinate below ``width``, in a fixed deterministic order:
     zero stack descending, off-zero supports lexicographic, '-' before '+'.
     """
+    return list(_iter_corefree(t, k, width))
+
+
+def _iter_corefree(t: int, k: int, width: int):
+    """The diagrams of :func:`enumerate_corefree`, one at a time."""
     if width < k:
         raise DomainError("width must be at least k")
-    out: list[WeightDiagram] = []
     zero_core = GT if t == 2 else None
     for s in range(k, -1, -1):
         for pos in combinations(range(1, width), k - s):
@@ -350,5 +354,5 @@ def enumerate_corefree(t: int, k: int, width: int) -> list[WeightDiagram]:
                 signs = ["-", "+"]
             else:
                 signs = [None]
-            out.extend(body.with_sign(sg) for sg in signs)
-    return out
+            for sg in signs:
+                yield body.with_sign(sg)

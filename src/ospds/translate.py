@@ -13,8 +13,10 @@ cross precedes every movable core symbol.
 
 from __future__ import annotations
 
-from .diagram import (CROSS, EMPTY, CORE_SYMBOLS, DomainError, WeightDiagram,
-                      check_valid, fmt)
+import re
+
+from .diagram import (CROSS, EMPTY, CORE_SYMBOLS, GT, LT, DomainError,
+                      WeightDiagram, check_valid, fmt)
 
 
 def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
@@ -27,6 +29,11 @@ def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
     check_valid(d)
     if a < 0:
         raise DomainError("positions are non-negative")
+    return _swap(d, a)
+
+
+def _swap(d: WeightDiagram, a: int) -> WeightDiagram:
+    """:func:`trans_swap` of a diagram known to be valid, at ``a >= 0``."""
     if a == 0:
         return _swap_zero(d)
     sa, sb = d.sym(a), d.sym(a + 1)
@@ -63,6 +70,10 @@ def _swap_zero(d: WeightDiagram) -> WeightDiagram:
     return WeightDiagram(1, i, c, EMPTY + rest)
 
 
+_CORE_RE = re.compile(f"[{GT}{LT}]")
+_NON_CORE_RE = re.compile(f"[{CROSS}{EMPTY}]")
+
+
 def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
     """Move ``d`` to a stable diagram; returns it with the positions swapped.
 
@@ -74,18 +85,22 @@ def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
     cur = d
     moves: list[int] = []
     while True:
-        crosses = list(cur.cross_positions())
-        if cur.zero_crosses:
-            crosses.append(0)
-        movable = [p for p in cur.core_positions()
-                   if not (cur.t in (0, 2) and p == 0)]
-        violating = [p for p in movable if any(x >= p for x in crosses)]
-        if not violating:
+        tail = cur.tail_symbols
+        # the rightmost cross, 0 for the zero stack alone, -1 for none
+        last_cross = tail.rfind(CROSS) + 1 or (0 if cur.zero_crosses else -1)
+        if cur.t == 1 and cur.zero_core is not None:
+            p = 0    # only the odd series moves its zero core symbol
+        else:
+            m = _CORE_RE.search(tail)
+            if m is None:
+                return cur, moves
+            p = m.start() + 1
+        if p > last_cross:
             return cur, moves
-        p = min(violating)
-        while cur.sym(p + 1) in CORE_SYMBOLS:
-            p += 1
-        cur = trans_swap(cur, p)
+        # the right end of the core run from p
+        m = _NON_CORE_RE.search(tail, max(p - 1, 0))
+        p = m.start() if m else len(tail)
+        cur = _swap(cur, p)
         moves.append(p)
 
 

@@ -1,17 +1,25 @@
-"""The reduction by iterated single steps, the reference the tests compare
-the order-filter route of :mod:`ospds.ds` against.
+"""Slow reference routes the tests compare the library against.
+
+The reduction by iterated single steps is the reference for the
+order-filter route of :mod:`ospds.ds`.
 
 One step lists, for every maximal arc of the compacted diagram, the diagram
 left after removing it, lifted back into the block, with the graded
 multiplicity ``mult_rule`` reads off the free-left count ``e``.
 ``layers`` iterates the step over every intermediate state and composes the
 multiplicities in the parity-shift group ring.
+
+``stabilize`` is the move loop of :mod:`ospds.translate` that recomputes
+every position list and tests every core position against every cross on
+each move.
 """
 
 from ospds.arcs import _build_arcs, free_left, maximal_arcs, remove_arc
-from ospds.diagram import DomainError, WeightDiagram, check_valid, core_of
+from ospds.diagram import (CORE_SYMBOLS, DomainError, WeightDiagram, check_valid,
+                           core_of)
 from ospds.ds import ONE, Decomposition, GradedMult, _sign_variants
 from ospds.howl import _howl, _unhowl
+from ospds.translate import trans_swap
 
 
 def gm_mul(x: GradedMult, y: GradedMult) -> GradedMult:
@@ -62,3 +70,23 @@ def dsr(lam: WeightDiagram, r: int) -> Decomposition:
     for current, _ in zip(layers(lam), range(r + 1)):
         pass
     return current
+
+
+def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
+    check_valid(d)
+    cur = d
+    moves: list[int] = []
+    while True:
+        crosses = list(cur.cross_positions())
+        if cur.zero_crosses:
+            crosses.append(0)
+        movable = [p for p in cur.core_positions()
+                   if not (cur.t in (0, 2) and p == 0)]
+        violating = [p for p in movable if any(x >= p for x in crosses)]
+        if not violating:
+            return cur, moves
+        p = min(violating)
+        while cur.sym(p + 1) in CORE_SYMBOLS:
+            p += 1
+        cur = trans_swap(cur, p)
+        moves.append(p)

@@ -1,5 +1,9 @@
+import argparse
 import json
 import math
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from ospds.cli import main
 from ospds.diagram import DomainError, ParseError, parse, validate
 
-PINNED = json.loads((Path(__file__).parent.parent / "perfbench" / "pinned.json").read_text())
+ROOT = Path(__file__).parent.parent
+PINNED = json.loads((ROOT / "perfbench" / "pinned.json").read_text())
 
 
 @pytest.fixture
@@ -130,6 +135,10 @@ class TestOtherCommands:
         code, out, _ = run("enumerate", "--t", "1", "-k", "1", "--width", "2")
         assert code == 0 and out.split() == ["-x", "+x", "ox"]
 
+    def test_enumerate_width_below_k(self, run):
+        assert run("enumerate", "--t", "0", "-k", "3", "--width", "2") == (
+            1, "", "error: width must be at least k\n")
+
     def test_usage_error(self, run):
         assert run("nonsense")[0] == 2
         assert run("ds", "+x")[0] == 2  # missing --t
@@ -173,6 +182,88 @@ def test_weight_fuzz_never_raises(head, a, b):
 def test_pinned_output(run, entry):
     """The outputs the benchmark pins stay byte-identical."""
     assert run(*entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
+# -- one parser per process ---------------------------------------------------------
+
+TABLE = "+x                   (0|2)\nooox                 (1|0)\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pinned_output_in_shuffled_order(run, seed):
+    """The parser is shared between calls: no order of calls changes a byte."""
+    entries = list(PINNED)
+    random.Random(seed).shuffle(entries)
+    for entry in entries:
+        assert run(*entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"]), \
+            entry["argv"]
+
+
+def test_flags_do_not_leak_into_the_next_call(run):
+    assert json.loads(run("ds", "+xoox", "--t", "1", "--json")[1])["rank"] == 1
+    assert run("ds", "+xoox", "--t", "1") == (0, TABLE, "")
+    assert run("parse", "-x^2oxoox", "--t", "1") == (0, "-x^2oxoox\n", "")
+    assert run("parse", "B 1 1 / -1/2 / 1/2") == (0, "-x  (t=1)\n", "")
+
+
+def test_calls_after_a_usage_error_and_after_help(run):
+    code, out, err = run("ds", "+xoox", "--t", "7")
+    assert code == 2 and out == "" and err.startswith("usage: ospds ds")
+    assert run("ds", "+xoox", "--t", "1") == (0, TABLE, "")
+    code, out, err = run("ds", "--help")
+    assert code == 0 and out.startswith("usage: ospds ds") and err == ""
+    assert run("ds", "+xoox", "--t", "1") == (0, TABLE, "")
+    code, out, err = run("--help")
+    assert code == 0 and "enumerate" in out and err == ""
+    assert run("ds", "+xoox", "--t", "1") == (0, TABLE, "")
+
+
+def test_fifty_calls_build_at_most_one_parser(run, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "ospds":    # not the subcommands' parsers
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for i in range(50):
+        entry = PINNED[i % len(PINNED)]
+        assert run(*entry["argv"])[0] == entry["code"]
+    assert len(built) <= 1
+
+
+def _python(*args: str, **kwargs) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def test_import_builds_no_parser():
+    script = ("import argparse\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "def counting_init(self, *args, **kwargs):\n"
+              "    built.append(self)\n"
+              "    init(self, *args, **kwargs)\n"
+              "argparse.ArgumentParser.__init__ = counting_init\n"
+              "import ospds.cli\n"
+              "print(len(built))\n")
+    proc = _python("-c", script, stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (0, b"0\n")
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    """``ospds enumerate ... | head -n 1``: the reader leaves after one line."""
+    proc = _python("-m", "ospds.cli", "enumerate", "--t", "0", "-k", "2", "--width", "400",
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"x^2\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_superdimension_longer_than_str_allows(run):

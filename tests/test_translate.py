@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
+import reference
 from ospds.diagram import DomainError, enumerate_corefree, fmt, is_stable
 from ospds.howl import UnhowlError, howl, unhowl
 from ospds.translate import shrink, stabilize, trans_swap
-from conftest import P
+from conftest import P, diagrams
 
 
 class TestTransSwap:
@@ -72,6 +74,31 @@ class TestStabilize:
                         assert howl(st) == howl(f)
                         n_core = len(f.core_positions())
                         assert len(moves) <= n_core * (f.width + n_core + 2)
+
+    def test_matches_the_reference_on_small_lifts(self, small_cores):
+        for t, cores in small_cores.items():
+            for g in cores:
+                for k in range(0, 4):
+                    for h in enumerate_corefree(t, k, 6):
+                        try:
+                            lifts = unhowl(g, h)
+                        except UnhowlError:
+                            continue
+                        for f in lifts:
+                            assert stabilize(f) == reference.stabilize(f), fmt(f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=diagrams())
+    def test_matches_the_reference_on_random_lifts(self, d):
+        assert stabilize(d) == reference.stabilize(d)
+
+    @pytest.mark.parametrize("text,t", [
+        (">" * 30 + "x" * 15, 1), ("x^3/<" + "><" * 10 + "xox" * 5, 1),
+        ("+o" + ">" * 20 + "xo" * 10, 0), (">" + "<>" * 10 + "x" * 12, 2),
+    ])
+    def test_matches_the_reference_on_long_runs(self, text, t):
+        d = P(text, t)
+        assert stabilize(d) == reference.stabilize(d)
 
 
 class TestShrinkPhi:
