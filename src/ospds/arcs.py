@@ -11,17 +11,26 @@ total.  A position is *free* when it is empty and no arc ends on it.
 The arcs form a forest under nesting.  A single-ended arc spans its support
 and its end; a double-ended arc spans everything from 0 to its outer end, so
 it lies above every arc that starts left of that end.  The roots of the
-forest, the maximal arcs, are exactly the removable ones, and the number of
-free positions left of a root's support drives the graded multiplicities of
-the reduction.  One left-to-right sweep finds the matching, the roots and
-these counts.
+forest, the maximal arcs, are exactly the removable ones, and the number
+``e`` of free positions left of a root's support drives the graded
+multiplicities of the reduction.
+
+One left-to-right sweep finds the matching; it is the only one in the
+package, and the dotted cups of :func:`es_dotted` are read off it too.  The
+arcs are stored with the zero-stack arcs first, innermost first, then by
+support.  The last zero-stack arc is a root with e = 0; a later arc
+``arcs[i]`` is a root when it starts past the last root's reach.  Every arc
+before such a root lies wholly left of it and fills two positions, and
+position 0 of a t=2 diagram holds ``>``, so e = support - 2i - [t = 2].
+Thus e = 0 exactly when the support is 0 or 2N + [t = 2] with N arcs wholly
+to its left: the tightness test of :mod:`ospds.ds`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (CROSS, EMPTY, DomainError, WeightDiagram, build,
+from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, build,
                       check_valid, fmt)
 from .howl import howl
 
@@ -72,7 +81,6 @@ def _build_arcs(h: WeightDiagram) -> ArcDiagram:
     doubles = h.zero_crosses - zero_single
     open_supports = [0] if zero_single else []
     singles: list[Arc] = []
-    outermost: list[tuple[Arc, int]] = []  # with the free positions left of it
     free: list[int] = []  # empty positions no single-ended arc takes
     # enough trailing empties to close every arc; the tail holds no core symbol
     trailing = EMPTY * (h.count(CROSS) + doubles)
@@ -80,22 +88,22 @@ def _build_arcs(h: WeightDiagram) -> ArcDiagram:
         if s == CROSS:
             open_supports.append(p)
         elif open_supports:
-            arc = Arc(open_supports.pop(), 0, (p,))
-            singles.append(arc)
-            if not open_supports:
-                outermost.append((arc, len(free)))
+            singles.append(Arc(open_supports.pop(), 0, (p,)))
         else:
             free.append(p)
     double_arcs = [Arc(0, zero_single + i, (free[2 * i], free[2 * i + 1]))
                    for i in range(doubles)]
-    # the top double-ended arc covers every arc that starts left of its reach
-    roots = {double_arcs[-1]: 0} if double_arcs else {}
-    covered = double_arcs[-1].reach if double_arcs else -1
-    zero_free = 0 if h.zero_crosses or h.zero_core else 1
-    for arc, free_before in outermost:
-        if arc.support > covered:
-            roots[arc] = zero_free + free_before - 2 * doubles
     arcs = sorted(singles + double_arcs, key=lambda a: (a.support, a.stack_index, a.ends))
+    # the top of the zero stack covers every arc that starts left of its
+    # reach; past it, an arc is a root when it starts past the last root
+    roots, reach = {}, 0
+    if h.zero_crosses:
+        top = arcs[h.zero_crosses - 1]
+        roots[top], reach = 0, top.reach
+    for i in range(h.zero_crosses, len(arcs)):
+        if arcs[i].support > reach:
+            roots[arcs[i]] = arcs[i].support - 2 * i - (h.t == 2)
+            reach = arcs[i].reach
     return ArcDiagram(h, tuple(arcs), roots)
 
 
@@ -220,6 +228,11 @@ def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
     inserted at numbers 1, 3, ..., 2l-1; these are matched to the remaining
     free positions and their cups carry a dot.  Even-series diagrams are
     processed as odd-series diagrams with a ``+`` sign.
+
+    The cups are the arcs of one recast diagram in which the removed zero
+    crosses are double-ended: a ``+``-signed odd-series diagram when a cross
+    is kept, else a type-2 one.  Its single-ended arcs are the plain cups,
+    the ends of each double-ended arc a dotted cup.
     """
     if series not in ("B", "D"):
         raise DomainError(f"series must be 'B' or 'D', got {series!r}")
@@ -227,34 +240,14 @@ def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
     stack = h.zero_crosses
     sign = "+" if series == "D" else h.sign
     keep = 1 if sign == "+" and stack > 0 else 0
-    removed = stack - keep
-
-    cross_set = set(h.cross_positions()) | ({0} if keep else set())
-    used: set[int] = set()
-
-    def match(a: int) -> int:
-        p = a + 1
-        while p in cross_set or p in used:
-            p += 1
-        used.add(p)
-        return p
-
-    plain = [(a, match(a)) for a in sorted(cross_set, reverse=True)]
-
-    free: list[int] = []
-    p = 1
-    while len(free) < max(2 * removed - 1, 0):
-        if p not in cross_set and p not in used:
-            free.append(p)
-        p += 1
-    coloured = [free[2 * i] for i in range(removed)]
-    cross_set |= set(coloured)
-    dotted = [(a, match(a)) for a in sorted(coloured, reverse=True)]
-
-    base = build(1, keep, None, {q: CROSS for q in cross_set if q > 0},
+    recast = (WeightDiagram(1, stack, None, h.tail_symbols, sign) if keep
+              else WeightDiagram(2, stack, GT, h.tail_symbols))
+    arcs = _build_arcs(recast).arcs
+    cups = sorted((a.support, a.reach) if len(a.ends) == 1 else a.ends for a in arcs)
+    dotted = frozenset(a.ends[0] for a in arcs if len(a.ends) == 2)
+    base = build(1, keep, None, {a: CROSS for a, _ in cups if a > 0},
                  sign if keep else None)
-    return DottedArcs(base, tuple(sorted(plain + dotted)),
-                      frozenset(a for a, _ in dotted))
+    return DottedArcs(base, tuple(cups), dotted)
 
 
 def render_dotted(da: DottedArcs) -> str:

@@ -242,9 +242,8 @@ def _dispatch(args) -> int:
         elif args.render:
             print(arcmod.render_ascii(a))
         else:
-            roots = arcmod.maximal_arcs(a)
             for arc in a.arcs:
-                star = "*" if arc in roots else " "
+                star = "*" if arc in a.roots else " "
                 ends = ",".join(map(str, arc.ends))
                 print(f"{star} arc({arc.support};{ends})")
         return 0

@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .arcs import Arc, ArcDiagram, _build_arcs, _erase
 from .diagram import (CROSS, DomainError, WeightDiagram, atypicality,
                       check_valid, core_of, fmt, pari, sigma)
-from .howl import _howl, _unhowl, howl, tau
+from .howl import _howl, _unhowl, howl
 
 
 class GradedMult(NamedTuple):
@@ -210,8 +210,7 @@ def _after_stack(chain: list[int], r: int) -> tuple[int, int]:
 
 
 def _pari_of(d: WeightDiagram) -> int:
-    h = howl(d)
-    return pari(tau(h)) if d.t == 2 else pari(h)
+    return pari(howl(d))
 
 
 def check_purity(dec: Decomposition, lam: WeightDiagram) -> bool:

@@ -12,13 +12,18 @@ multiplicities in the parity-shift group ring.
 ``stabilize`` is the move loop of :mod:`ospds.translate` that recomputes
 every position list and tests every core position against every cross on
 each move.
+
+``es_dotted`` is the dotted-cup conversion of :mod:`ospds.arcs` with its own
+cup matcher over sets of positions, quadratic in the nesting depth, where
+the library reads the cups off the arcs of one recast diagram.
 """
 
-from ospds.arcs import _build_arcs, free_left, maximal_arcs, remove_arc
-from ospds.diagram import (CORE_SYMBOLS, DomainError, WeightDiagram, check_valid,
-                           core_of)
+from ospds.arcs import (DottedArcs, _build_arcs, free_left, maximal_arcs,
+                        remove_arc)
+from ospds.diagram import (CORE_SYMBOLS, CROSS, DomainError, WeightDiagram,
+                           build, check_valid, core_of)
 from ospds.ds import ONE, Decomposition, GradedMult, _sign_variants
-from ospds.howl import _howl, _unhowl
+from ospds.howl import _howl, _unhowl, howl
 from ospds.translate import trans_swap
 
 
@@ -90,3 +95,49 @@ def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
             p += 1
         cur = trans_swap(cur, p)
         moves.append(p)
+
+
+def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
+    """Dotted-cup companion of a diagram.
+
+    The zero stack, minus the single cross a ``+`` sign keeps, is removed and
+    its size ``l`` remembered; the remainder is cup-matched; the free
+    positions (counted from position 1) are numbered and new crosses are
+    inserted at numbers 1, 3, ..., 2l-1; these are matched to the remaining
+    free positions and their cups carry a dot.  Even-series diagrams are
+    processed as odd-series diagrams with a ``+`` sign.
+    """
+    if series not in ("B", "D"):
+        raise DomainError(f"series must be 'B' or 'D', got {series!r}")
+    h = howl(d)
+    stack = h.zero_crosses
+    sign = "+" if series == "D" else h.sign
+    keep = 1 if sign == "+" and stack > 0 else 0
+    removed = stack - keep
+
+    cross_set = set(h.cross_positions()) | ({0} if keep else set())
+    used: set[int] = set()
+
+    def match(a: int) -> int:
+        p = a + 1
+        while p in cross_set or p in used:
+            p += 1
+        used.add(p)
+        return p
+
+    plain = [(a, match(a)) for a in sorted(cross_set, reverse=True)]
+
+    free: list[int] = []
+    p = 1
+    while len(free) < max(2 * removed - 1, 0):
+        if p not in cross_set and p not in used:
+            free.append(p)
+        p += 1
+    coloured = [free[2 * i] for i in range(removed)]
+    cross_set |= set(coloured)
+    dotted = [(a, match(a)) for a in sorted(coloured, reverse=True)]
+
+    base = build(1, keep, None, {q: CROSS for q in cross_set if q > 0},
+                 sign if keep else None)
+    return DottedArcs(base, tuple(sorted(plain + dotted)),
+                      frozenset(a for a, _ in dotted))

@@ -1,10 +1,15 @@
-import pytest
+import time
 
+import pytest
+from hypothesis import given, settings
+
+import reference
 from ospds.arcs import (Arc, arcs_json, build_arcs, es_dotted, free_left,
                         maximal_arcs, remove_arc, render_ascii, render_dotted)
 from ospds.diagram import (CROSS, EMPTY, DomainError, WeightDiagram,
                            atypicality, enumerate_corefree, fmt)
-from conftest import P
+from ospds.howl import howl
+from conftest import P, diagrams
 
 
 def arcset(diagram):
@@ -41,6 +46,7 @@ def free_positions(A):
 # followed by single-ended roots
 WIDE = [("+" + "ox" * 100, 0), ("-x^800", 1), ("o" + "xxxxxooooo" * 20, 1),
         ("x^30/>" + "o" * 61 + "xoo" * 10, 2)]
+NEST = "o" + "x" * 4999 + "o" * 4999  # 4,999 arcs, each inside the last
 
 
 class TestBuildArcs:
@@ -110,12 +116,12 @@ class TestOrder:
 
     def test_roots_match_the_reference(self, corefree_pool):
         for h in corefree_pool + [P(text, t) for text, t in WIDE]:
-            A = build_arcs(h)
-            assert maximal_arcs(A) == reference_maximal(A), fmt(h)
-            free = free_positions(A)
-            for a in maximal_arcs(A):
-                assert free_left(A, a) == sum(1 for p in free if p < a.support), \
-                    (fmt(h), a)
+            _roots_match_the_reference(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams())
+    def test_roots_match_the_reference_on_random_diagrams(self, lam):
+        _roots_match_the_reference(howl(lam))
 
     def test_maximality_matches_rebuild_characterisation(self, corefree_pool):
         # independent check: an arc is maximal exactly when deleting its cross
@@ -139,6 +145,14 @@ class TestOrder:
                 rebuilt = arcset(build_arcs(base))
                 rest = arcset(A) - {(arc.support, arc.ends)}
                 assert (rebuilt == rest) == ((arc.support, arc.ends) in maxset)
+
+
+def _roots_match_the_reference(h):
+    A = build_arcs(h)
+    assert maximal_arcs(A) == reference_maximal(A), fmt(h)
+    free = free_positions(A)
+    for a in maximal_arcs(A):
+        assert free_left(A, a) == sum(1 for p in free if p < a.support), (fmt(h), a)
 
 
 class TestRemoveArc:
@@ -254,3 +268,34 @@ class TestDotted:
             "x  x  o  o  x  o  x  o",
             "0  1  2  3  4  5  6  7",
         ]
+
+    @pytest.mark.parametrize("series", ["B", "D"])
+    def test_matches_the_reference_matcher(self, series):
+        pool = [d for t in (0, 1, 2) for k in range(5) for d in enumerate_corefree(t, k, 9)]
+        pool += [P(text, t) for text, t in WIDE]
+        for d in pool:
+            _dotted_matches_the_reference(d, series)
+
+    def test_deep_nest_matches_the_reference_matcher(self):
+        # without a zero stack both series read the same
+        _dotted_matches_the_reference(P(NEST, 1), "B")
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=diagrams())
+    def test_matches_the_reference_matcher_on_random_diagrams(self, d):
+        for series in ("B", "D"):
+            _dotted_matches_the_reference(d, series)
+
+    def test_deep_nest_is_fast(self):
+        # the reference matcher, quadratic in the nesting depth, takes 1.7 s
+        d = P(NEST, 1)
+        t0 = time.perf_counter()
+        da = es_dotted(d, "B")
+        assert time.perf_counter() - t0 < 0.5
+        assert len(da.arcs) == 4999 and not da.dotted
+
+
+def _dotted_matches_the_reference(d, series):
+    got, want = es_dotted(d, series), reference.es_dotted(d, series)
+    assert (got.base, got.arcs, got.dotted) == (want.base, want.arcs, want.dotted), \
+        (fmt(d), series)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,13 @@ class TestOtherCommands:
         assert "* arc(0;1)" in out and "* arc(3;4)" in out
         code, out, _ = run("arcs", "+xoox", "--t", "1", "--render")
         assert ".--." in out
+
+    def test_arcs_listing_of_many_roots(self, run):
+        # 4,999 side by side roots; a list membership test per arc took 3.35 s
+        t0 = time.perf_counter()
+        code, out, _ = run("arcs", "+" + "ox" * 4999, "--t", "0")
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 0 and out.count("* arc(") == 4999
 
     def test_es(self, run):
         code, out, _ = run("es", "+x^3x", "--t", "1", "--series", "B", "--json")

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
 from ospds.diagram import (DomainError, atypicality, core_of,
                            enumerate_corefree, fmt, is_stable, tail_length,
                            validate)
 from ospds.howl import UnhowlError, howl, tau, tau_inv, unhowl
-from conftest import P
+from conftest import P, diagrams
 
 
 class TestHowl:
@@ -101,6 +102,15 @@ class TestUnhowl:
                             assert validate(f) == []
                             assert howl(f) == h
         assert doubles > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=diagrams())
+    def test_round_trip_on_random_diagrams(self, f):
+        h = howl(f)
+        lifts = unhowl(core_of(f), h)
+        assert f in lifts and len(lifts) in (1, 2)
+        for g in lifts:
+            assert validate(g) == [] and howl(g) == h
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(UnhowlError):

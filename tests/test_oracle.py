@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
-from ospds.diagram import atypicality, enumerate_corefree, fmt, sigma
-from ospds.ds import GradedMult, ds1
+from ospds.diagram import (EMPTY, atypicality, core_of, enumerate_corefree,
+                           fmt, sigma, validate)
+from ospds.ds import ZERO, GradedMult, ds1
+from ospds.howl import UnhowlError, howl, unhowl
 from ospds.oracle import Step, oracle_mult1
-from conftest import P
+from conftest import P, diagrams
 
 
 class TestKnownValues:
@@ -51,6 +54,15 @@ class TestConsistency:
                     assert oracle_mult1(lam, nu) == dec.get(nu), \
                         (fmt(lam), fmt(nu))
 
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams())
+    def test_matches_ds1_on_random_diagrams(self, lam):
+        dec = ds1(lam)
+        for nu, g in dec.components.items():
+            assert oracle_mult1(lam, nu) == g, (fmt(lam), fmt(nu))
+        for nu in _erased_lifts(lam) - dec.components.keys():
+            assert oracle_mult1(lam, nu) == ZERO, (fmt(lam), fmt(nu))
+
     def test_sigma_equivariant(self):
         for t in (0, 1):
             for k in (1, 2, 3):
@@ -81,3 +93,19 @@ def _signed_stack(sign, p, rest=""):
     if p == 0:
         return ("o" + rest) if rest else "o"  # signs vanish with the stack
     return sign + ("x" if p == 1 else f"x^{p}") + rest
+
+
+def _erased_lifts(lam):
+    """The diagrams one below ``lam`` in its block that erase one off-zero
+    cross of its compacted diagram, in every valid signing."""
+    h, core = howl(lam), core_of(lam)
+    out = set()
+    for p in h.cross_positions():
+        bare = h.set_positions({p: EMPTY})
+        for sign in (None, "+", "-"):
+            if not validate(bare.with_sign(sign)):
+                try:
+                    out.update(unhowl(core, bare.with_sign(sign)))
+                except UnhowlError:
+                    pass
+    return out
