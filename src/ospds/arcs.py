@@ -28,36 +28,28 @@ to its left: the tightness test of :mod:`ospds.ds`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, build,
                       check_valid, fmt)
 from .howl import howl
 
 
-@dataclass(frozen=True)
-class Arc:
-    """One arc: its supporting cross and one or two right ends."""
+class Arc(NamedTuple):
+    """One arc: its supporting cross and one or two right ends.  The sweep
+    builds every arc: the ends increase, the support lies left of them, and
+    only a zero-stack arc carries a stack index."""
 
     support: int
     stack_index: int
     ends: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.ends) not in (1, 2) or list(self.ends) != sorted(set(self.ends)):
-            raise DomainError("ends must be one or two strictly increasing positions")
-        if self.support >= self.ends[0]:
-            raise DomainError("the support must lie left of every end")
-        if self.stack_index and self.support != 0:
-            raise DomainError("only zero-stack arcs carry a stack index")
 
     @property
     def reach(self) -> int:
         return self.ends[-1]
 
 
-@dataclass(frozen=True)
-class ArcDiagram:
+class ArcDiagram(NamedTuple):
     """The arcs of a core-free diagram, sorted, and the roots of their
     forest: each maximal arc, left to right, mapped to its free-left count
     ``e``, the number of free positions strictly left of its support."""
@@ -93,7 +85,7 @@ def _build_arcs(h: WeightDiagram) -> ArcDiagram:
             free.append(p)
     double_arcs = [Arc(0, zero_single + i, (free[2 * i], free[2 * i + 1]))
                    for i in range(doubles)]
-    arcs = sorted(singles + double_arcs, key=lambda a: (a.support, a.stack_index, a.ends))
+    arcs = sorted(singles + double_arcs)
     # the top of the zero stack covers every arc that starts left of its
     # reach; past it, an arc is a root when it starts past the last root
     roots, reach = {}, 0
@@ -141,6 +133,9 @@ def free_left(diagram: ArcDiagram, arc: Arc) -> int:
 # -- rendering ----------------------------------------------------------------
 
 _CELL = 3
+# arc rows times positions; a drawing costs memory quadratic in its nesting
+# depth, so a deep nest inside MAX_WIDTH would need gigabytes
+MAX_RENDER_CELLS = 1_000_000
 
 
 def _draw(d: WeightDiagram, spans: list[tuple[int, int, tuple]]) -> str:
@@ -148,22 +143,31 @@ def _draw(d: WeightDiagram, spans: list[tuple[int, int, tuple]]) -> str:
     rows (outer arcs on top), symbol row, coordinate ruler.  An arc runs
     from position ``lo`` to ``hi``; ``marks`` holds ``(column, char)``
     overwrites.  The spans must nest or be disjoint; an arc's row is its
-    height, one above the highest arc inside it."""
+    height, one above the highest arc inside it.  A drawing of more than
+    :data:`MAX_RENDER_CELLS` arc-row cells is refused before any row exists."""
     width = max([d.width] + [hi + 1 for _, hi, _ in spans])
-    rows: dict[int, list[str]] = {}
+    spans = sorted(spans, key=lambda span: span[1])
+    levels = []
     done: list[tuple[int, int]] = []  # (lo, level) of the outermost arcs so far
-    for lo, hi, marks in sorted(spans, key=lambda span: span[1]):
+    for lo, _, _ in spans:
         level = 0
         while done and done[-1][0] >= lo:
             level = max(level, done.pop()[1] + 1)
         done.append((lo, level))
-        row = rows.setdefault(level, [" "] * (width * _CELL))
+        levels.append(level)
+    height = max(levels, default=-1) + 1
+    if height * width > MAX_RENDER_CELLS:
+        raise DomainError(f"drawing of {height * width} cells above the cap "
+                          f"MAX_RENDER_CELLS = {MAX_RENDER_CELLS}")
+    rows = [[" "] * (width * _CELL) for _ in range(height)]
+    for (lo, hi, marks), level in zip(spans, levels):
+        row = rows[level]
         row[lo * _CELL + 1:hi * _CELL] = "-" * (hi * _CELL - lo * _CELL - 1)
         row[lo * _CELL] = row[hi * _CELL] = "."
         for column, char in marks:
             row[column] = char
     lines = [f"diagram: {fmt(d)}"]
-    lines.extend("".join(rows[lv]).rstrip() for lv in sorted(rows, reverse=True))
+    lines.extend("".join(row).rstrip() for row in reversed(rows))
     sym_row = []
     for p in range(width):
         if p == 0:
@@ -203,8 +207,7 @@ def arcs_json(diagram: ArcDiagram) -> dict:
 
 # -- dotted-cup conversion -----------------------------------------------------
 
-@dataclass(frozen=True)
-class DottedArcs:
+class DottedArcs(NamedTuple):
     """Tailless companion diagram with its cup matching and dotted cups."""
 
     base: WeightDiagram

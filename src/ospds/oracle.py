@@ -60,20 +60,12 @@ def _drop_prefix(d: WeightDiagram, n: int, new_stack: int,
     return WeightDiagram(d.t, new_stack, d.zero_core, d.tail_symbols[n:], sign)
 
 
-def _base_odd(f: WeightDiagram) -> GradedMult:
-    """Atypicality-one odd-series source against the empty target."""
+def _base(f: WeightDiagram, scale: int) -> GradedMult:
+    """Atypicality-one source against the empty target; a lone off-zero
+    cross counts ``scale`` times."""
     if f.zero_crosses == 1:
         return GradedMult(1, 0)
     u = f.cross_positions()[0]
-    return GradedMult(2, 0) if u % 2 == 0 else GradedMult(0, 2)
-
-
-def _base_even(f: WeightDiagram, doubled: bool) -> GradedMult:
-    """Atypicality-one even-series source against the empty target."""
-    if f.zero_crosses == 1:
-        return GradedMult(1, 0)
-    u = f.cross_positions()[0]
-    scale = 2 if doubled else 1
     return GradedMult(scale, 0) if u % 2 == 0 else GradedMult(0, scale)
 
 
@@ -117,7 +109,7 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
         i = g.zero_crosses
         if i == 0:
             _note(trace, "base even", f, g)
-            return _base_even(f, doubled=False)
+            return _base(f, 1)
         return _even_stack(f, i, trace)
     return _type2(f, g.zero_crosses, trace, double_bare=True)
 
@@ -128,7 +120,7 @@ def _reduce_odd(f: WeightDiagram, g: WeightDiagram,
     i = g.zero_crosses
     if i == 0:
         _note(trace, "base odd", f, g)
-        return _base_odd(f)
+        return _base(f, 2)
     if g.sign == "+":
         f, g = sigma(f), sigma(g)
         _note(trace, "flip signs", f, g)
@@ -141,12 +133,12 @@ def _reduce_odd(f: WeightDiagram, g: WeightDiagram,
         # the cross closing the gap is absorbed into the stack
         f2 = _drop_prefix(f, 2 * i, p - i + 1, "-")
         _note(trace, "close gap", f2, "o")
-        return _base_odd(f2)
+        return _base(f2, 2)
     if j >= 2 * i:
         stack = p - i
         f2 = _drop_prefix(f, 2 * i, stack, "-" if stack else None)
         _note(trace, "shorten gap", f2, "o")
-        return _base_odd(f2)
+        return _base(f2, 2)
     _note(trace, "gap too short", f, g)
     return ZERO
 
@@ -178,4 +170,4 @@ def _type2(f: WeightDiagram, i: int, trace: list[Step] | None,
     stack = f.zero_crosses + (1 if f.sym(1) == CROSS else 0)
     f2 = WeightDiagram(0, stack, None, f.tail_symbols[1:])
     _note(trace, "drop zero >", f2, "o")
-    return _base_even(f2, doubled=double_bare and stack == 0)
+    return _base(f2, 2 if double_bare and stack == 0 else 1)

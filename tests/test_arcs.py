@@ -28,6 +28,15 @@ def below(x, y):
     return y.support < x.support < y.reach
 
 
+def assert_well_formed(A):
+    """What the sweep guarantees of every arc it builds, and their order."""
+    for a in A.arcs:
+        assert len(a.ends) in (1, 2) and list(a.ends) == sorted(set(a.ends)), a
+        assert a.support < a.ends[0], a
+        assert a.stack_index == 0 or a.support == 0, a
+    assert A.arcs == tuple(sorted(A.arcs))
+
+
 def reference_maximal(A):
     return [a for a in A.arcs if not any(below(a, b) for b in A.arcs if b is not a)]
 
@@ -77,8 +86,10 @@ class TestBuildArcs:
             build_arcs(P(">x", 1))
 
     def test_invariants(self, corefree_pool):
+        assert_well_formed(build_arcs(P(NEST, 1)))
         for h in corefree_pool + [P(text, t) for text, t in WIDE]:
             A = build_arcs(h)
+            assert_well_formed(A)
             assert len(A.arcs) == atypicality(h)
             ends = [e for a in A.arcs for e in a.ends]
             assert len(set(ends)) == len(ends)
@@ -89,6 +100,11 @@ class TestBuildArcs:
             for a in A.arcs:
                 for p in range(a.support + 1, a.reach):
                     assert p not in free, (fmt(h), a, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams())
+    def test_invariants_on_random_diagrams(self, lam):
+        assert_well_formed(build_arcs(howl(lam)))
 
 
 class TestOrder:
@@ -178,6 +194,15 @@ class TestRemoveArc:
         (inner,) = [a for a in A.arcs if a.support == 2]
         with pytest.raises(DomainError):
             remove_arc(A, inner)
+
+    @pytest.mark.parametrize("arc", [Arc(5, 0, (3,)), Arc(6, 0, (7,))],
+                             ids=["malformed", "not_a_root"])
+    def test_arc_outside_the_roots_rejected(self, arc):
+        A = build_arcs(P("x^2oxooxxooooxo", 0))
+        with pytest.raises(DomainError):
+            remove_arc(A, arc)
+        with pytest.raises(DomainError):
+            free_left(A, arc)
 
 
 class TestFreeLeft:

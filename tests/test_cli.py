@@ -292,11 +292,15 @@ def test_superdimension_longer_than_str_allows(run):
     ["ds", "+o" + "xo" * 5001, "--t", "0"],
     ["parse", "D 1 0 / 1000000000 / -"],
     ["parse", "D 1 0 / " + "9" * 5000 + " / -"],
+    ["arcs", "-x^10000", "--t", "1", "--render"],
+    ["es", "o" + "x" * 4999 + "o" * 4999, "--t", "1", "--series", "B", "--render"],
 ])
 def test_input_above_the_cap_exits_1(run, argv):
     code, out, err = run(*argv)
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "MAX_WIDTH = 10000" in err
+    cap = ("MAX_RENDER_CELLS = 1000000" if "--render" in argv
+           else "MAX_WIDTH = 10000")
+    assert err.startswith("error: ") and cap in err
     # one line naming the cap: no echo of the input, no grammar
     assert err.count("\n") == 1 and len(err) < 100
 
