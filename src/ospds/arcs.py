@@ -24,6 +24,10 @@ before such a root lies wholly left of it and fills two positions, and
 position 0 of a t=2 diagram holds ``>``, so e = support - 2i - [t = 2].
 Thus e = 0 exactly when the support is 0 or 2N + [t = 2] with N arcs wholly
 to its left: the tightness test of :mod:`ospds.ds`.
+
+Removing arcs leaves an even-series diagram unsigned: when its zero
+position is bare, the unsigned diagram stands for both of its signings,
+which :func:`ospds.howl._unhowl` builds.
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ def maximal_arcs(diagram: ArcDiagram) -> list[Arc]:
 
 
 def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
-    """Erase a maximal arc together with its supporting cross."""
+    """Erase a maximal arc together with its supporting cross; an
+    even-series result is unsigned (see the module docstring)."""
     if arc not in diagram.roots:
         raise DomainError("only maximal arcs can be removed")
     return _erase(diagram.base, [arc.support])
@@ -113,14 +118,15 @@ def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
 def _erase(d: WeightDiagram, supports: list[int]) -> WeightDiagram:
     """Erase the crosses at ``supports``, each 0 the top of the zero stack.
     An odd-series sign survives while the stack stays non-empty; an
-    even-series diagram whose stack empties comes back unsigned."""
+    even-series result is unsigned, standing for both signings when its
+    zero position is bare."""
     stack = d.zero_crosses - supports.count(0)
     tail = list(d.tail_symbols)
     for p in supports:
         if p:
             tail[p - 1] = EMPTY
     return WeightDiagram(d.t, stack, d.zero_core, "".join(tail),
-                         d.sign if stack or d.t == 0 else None)
+                         d.sign if stack and d.t == 1 else None)
 
 
 def free_left(diagram: ArcDiagram, arc: Arc) -> int:

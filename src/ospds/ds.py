@@ -4,7 +4,8 @@ The rank-r reduction has one component per order filter F of r arcs in the
 arc forest of the compacted diagram: a set of arcs holding the enclosing arc
 of each member, which is what r steps can remove.  It erases the crosses of
 F, zero-stack arcs off the top of the stack, and is lifted back into the
-block; for t=0 a bare zero position with a cross left takes both signs.  A
+block.  For t=0 the erased diagram comes back unsigned: when its zero
+position is bare it stands for both signings, and the lift builds both.  A
 step removes a root with a multiplicity read off the parity of ``e``, the
 free positions left of its support:
 
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .arcs import Arc, ArcDiagram, _build_arcs, _erase
-from .diagram import (CROSS, DomainError, WeightDiagram, atypicality,
-                      check_valid, core_of, fmt, pari, sigma)
+from .diagram import (DomainError, WeightDiagram, atypicality, check_valid,
+                      core_of, fmt, pari, sigma)
 from .howl import _howl, _unhowl, howl
 
 
@@ -88,13 +89,6 @@ class Decomposition:
         }
 
 
-def _sign_variants(h: WeightDiagram) -> list[WeightDiagram]:
-    """Both signings of an even-series diagram whose zero position is bare."""
-    if h.t == 0 and h.zero_crosses == 0 and h.count(CROSS) >= 1:
-        return [h.with_sign("+"), h.with_sign("-")]
-    return [h]
-
-
 def ds1(lam: WeightDiagram) -> Decomposition:
     """One reduction step applied to a simple module's diagram."""
     return _dsr(check_valid(lam), 1)
@@ -125,9 +119,8 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
         supports = [m[0].support for m in members]
         odd = sum(p - t2 for p in supports if p) % 2
         mult = GradedMult(0, w) if odd else GradedMult(w, 0)
-        for h2 in _sign_variants(_erase(h, supports)):
-            for nu in _unhowl(g, h2):
-                out.add(nu, mult)
+        for nu in _unhowl(g, _erase(h, supports)):
+            out.add(nu, mult)
     return out
 
 

@@ -10,7 +10,10 @@ of the result is fixed by requiring the zero-stack tail length to survive.
 ``unhowl`` inverts this inside a block: given the core and the compacted
 diagram it re-distributes the crosses over the core's free slots.  The t=1
 sign decides whether one stack cross spills onto the first free slot, which
-is the only ambiguity the forward map collapses.
+is the only ambiguity the forward map collapses.  Inside the reduction an
+unsigned t=0 diagram with a bare zero position stands for both of its
+signings: each lift is built once, with its final sign, and only the public
+``unhowl`` checks the lifts.
 """
 
 from __future__ import annotations
@@ -69,12 +72,19 @@ def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
         raise UnhowlError("first argument must be a core diagram (no crosses)")
     if not h.is_core_free():
         raise UnhowlError("second argument must be core-free")
-    return _unhowl(g, h)
+    lifts = _unhowl(g, h)
+    for lift in lifts:
+        bad = validate(lift)
+        if bad:
+            raise UnhowlError(f"{fmt(h)!r} does not fit into core {fmt(g)!r}: "
+                              + "; ".join(bad))
+    return lifts
 
 
 def _unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
-    """:func:`unhowl` of a valid core ``g`` and a valid core-free ``h`` of
-    the same type; the lifts are still checked."""
+    """:func:`unhowl` of a core ``g`` and a core-free ``h`` of the same type,
+    unchecked; an unsigned t=0 ``h`` with a bare zero position stands for
+    both of its signings.  Each lift is built once, with its final sign."""
     stack, fill = h.zero_crosses, h.tail_symbols
     if h.t != 2 and g.zero_core is not None:
         # the first free slot of the core is position 0 of ``h``: it takes
@@ -88,30 +98,12 @@ def _unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
     *cores, last = g.tail_symbols.split(EMPTY)
     fill = fill.ljust(len(cores), EMPTY)
     tail = "".join(c + s for c, s in zip(cores, fill)) + last + fill[len(cores):]
-    lift = WeightDiagram(g.t, stack, g.zero_core, tail)
-
-    results: list[WeightDiagram]
-    if g.t == 1:
-        if stack >= 1 and g.zero_core is None:
-            lift = lift.with_sign(h.sign)
-        results = [lift]
-    elif g.t == 0:
-        needs_sign = stack == 0 and (lift.count(GT) + lift.count(CROSS)) >= 1
-        if needs_sign:
-            if h.has_symbols:
-                results = [lift.with_sign(h.sign)]
-            else:
-                results = [lift.with_sign("+"), lift.with_sign("-")]
-        else:
-            results = [lift]
-    else:
-        results = [lift]
-    for r in results:
-        bad = validate(r)
-        if bad:
-            raise UnhowlError(f"{fmt(h)!r} does not fit into core {fmt(g)!r}: "
-                              + "; ".join(bad))
-    return results
+    signs = [None]
+    if g.t == 1 and stack and g.zero_core is None:
+        signs = [h.sign]
+    elif g.t == 0 and not stack and (GT in tail or CROSS in tail):
+        signs = [h.sign] if h.sign else ["+", "-"]
+    return [WeightDiagram(g.t, stack, g.zero_core, tail, sign) for sign in signs]
 
 
 def tau(h: WeightDiagram) -> WeightDiagram:

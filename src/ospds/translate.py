@@ -8,12 +8,15 @@ symbol slides out from under the stack, adjusting the sign:
     > x f  ->  +x > f         x^i/> x f  ->  +x^(i+1) > f     (i > 0)
 
 and the mirror rules with ``<``.  ``stabilize`` chains such moves until every
-cross precedes every movable core symbol.
+cross precedes every movable core symbol, and reads the result off the input.
+For t=1 with a core symbol at zero and a cross anywhere, the first ``x``/``o``
+after the zero core's run (positions 1..j) comes to 0 by the moves j, ..., 0:
+a cross joins the stack under ``+``, an empty leaves ``-`` on a non-empty
+stack.  Then each ``x``/``o`` from the first core symbol past 0 to the last
+cross moves in front of the core symbols before it; each kind keeps its order.
 """
 
 from __future__ import annotations
-
-import re
 
 from .diagram import (CROSS, EMPTY, CORE_SYMBOLS, GT, LT, DomainError,
                       WeightDiagram, check_valid, fmt)
@@ -29,11 +32,6 @@ def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
     check_valid(d)
     if a < 0:
         raise DomainError("positions are non-negative")
-    return _swap(d, a)
-
-
-def _swap(d: WeightDiagram, a: int) -> WeightDiagram:
-    """:func:`trans_swap` of a diagram known to be valid, at ``a >= 0``."""
     if a == 0:
         return _swap_zero(d)
     sa, sb = d.sym(a), d.sym(a + 1)
@@ -53,11 +51,8 @@ def _swap_zero(d: WeightDiagram) -> WeightDiagram:
         if d.sym(1) in CORE_SYMBOLS:
             raise DomainError("position 1 already holds a core symbol")
         if d.sym(1) == CROSS:
-            out = WeightDiagram(1, i + 1, None, c + d.tail_symbols[1:], "+")
-        else:
-            sign = "-" if i > 0 else None
-            out = WeightDiagram(1, i, None, c + d.tail_symbols[1:], sign)
-        return out
+            return WeightDiagram(1, i + 1, None, c + d.tail_symbols[1:], "+")
+        return WeightDiagram(1, i, None, c + d.tail_symbols[1:], "-" if i else None)
     # backward: a core symbol at position 1 returns under the stack
     c = d.sym(1)
     if c not in CORE_SYMBOLS:
@@ -70,38 +65,47 @@ def _swap_zero(d: WeightDiagram) -> WeightDiagram:
     return WeightDiagram(1, i, c, EMPTY + rest)
 
 
-_CORE_RE = re.compile(f"[{GT}{LT}]")
-_NON_CORE_RE = re.compile(f"[{CROSS}{EMPTY}]")
+# the most moves :func:`stabilize` lists: they number (core symbols) x
+# (crosses), over 2 * 10^7 inside MAX_WIDTH
+MAX_MOVES = 1_000_000
+_DROP_CORE = str.maketrans("", "", GT + LT)
+_DROP_NON_CORE = str.maketrans("", "", CROSS + EMPTY)
 
 
 def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
     """Move ``d`` to a stable diagram; returns it with the positions swapped.
-
-    Strategy: take the leftmost core symbol with some cross at or beyond it,
-    walk to the right end of its contiguous core run and push that symbol one
-    step right.  Crossing a cross removes an inversion, so this terminates.
-    """
+    The result is built once, as the module docstring describes; more than
+    :data:`MAX_MOVES` moves are refused before any is listed."""
     check_valid(d)
-    cur = d
-    moves: list[int] = []
-    while True:
-        tail = cur.tail_symbols
-        # the rightmost cross, 0 for the zero stack alone, -1 for none
-        last_cross = tail.rfind(CROSS) + 1 or (0 if cur.zero_crosses else -1)
-        if cur.t == 1 and cur.zero_core is not None:
-            p = 0    # only the odd series moves its zero core symbol
+    stack, zero_core, tail, sign = d.zero_crosses, d.zero_core, d.tail_symbols, d.sign
+    # (tail index i of an x/o, core symbols c it passes): moves i, ..., i-c+1
+    steps = []
+    if d.t == 1 and zero_core is not None and (stack or CROSS in tail):
+        # the first x/o after the zero core's run passes the run and the core
+        j = len(tail) - len(tail.lstrip(GT + LT))
+        steps.append((j, j + 1))
+        if tail[j:j + 1] == CROSS:
+            stack, sign = stack + 1, "+"
         else:
-            m = _CORE_RE.search(tail)
-            if m is None:
-                return cur, moves
-            p = m.start() + 1
-        if p > last_cross:
-            return cur, moves
-        # the right end of the core run from p
-        m = _NON_CORE_RE.search(tail, max(p - 1, 0))
-        p = m.start() if m else len(tail)
-        cur = _swap(cur, p)
-        moves.append(p)
+            sign = "-" if stack else None
+        tail, zero_core = zero_core + tail[:j] + tail[j + 1:], None
+    # each x/o from the first core symbol to the last cross passes the core
+    # symbols before it
+    last = tail.rfind(CROSS)
+    first = min(len(tail) - len(tail.lstrip(CROSS + EMPTY)), last + 1)
+    region, c = tail[first:last + 1], 0
+    for i, s in enumerate(region, first):
+        if s in CORE_SYMBOLS:
+            c += 1
+        else:
+            steps.append((i, c))
+    n = sum(c for _, c in steps)
+    if n > MAX_MOVES:
+        raise DomainError(f"stabilize needs {n} moves, above the cap MAX_MOVES = {MAX_MOVES}")
+    moves = [p for i, c in steps for p in range(i, i - c, -1)]
+    tail = (tail[:first] + region.translate(_DROP_CORE)
+            + region.translate(_DROP_NON_CORE) + tail[last + 1:])
+    return WeightDiagram(d.t, stack, zero_core, tail, sign), moves
 
 
 def shrink(d: WeightDiagram, u: int) -> WeightDiagram:

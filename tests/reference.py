@@ -22,7 +22,7 @@ from ospds.arcs import (DottedArcs, _build_arcs, free_left, maximal_arcs,
                         remove_arc)
 from ospds.diagram import (CORE_SYMBOLS, CROSS, DomainError, WeightDiagram,
                            build, check_valid, core_of)
-from ospds.ds import ONE, Decomposition, GradedMult, _sign_variants
+from ospds.ds import ONE, Decomposition, GradedMult
 from ospds.howl import _howl, _unhowl, howl
 from ospds.translate import trans_swap
 
@@ -30,6 +30,13 @@ from ospds.translate import trans_swap
 def gm_mul(x: GradedMult, y: GradedMult) -> GradedMult:
     """Multiplication in the parity-shift group ring."""
     return GradedMult(x.d0 * y.d0 + x.d1 * y.d1, x.d0 * y.d1 + x.d1 * y.d0)
+
+
+def _sign_variants(h: WeightDiagram) -> list[WeightDiagram]:
+    """Both signings of an even-series diagram whose zero position is bare."""
+    if h.t == 0 and h.zero_crosses == 0 and h.count(CROSS) >= 1:
+        return [h.with_sign("+"), h.with_sign("-")]
+    return [h]
 
 
 def mult_rule(t: int, e: int) -> GradedMult:

@@ -184,6 +184,12 @@ class TestRemoveArc:
         A = build_arcs(P("+xoox", 1))
         assert fmt(remove_arc(A, self.top(A))) == "ooox"
 
+    def test_even_series_result_is_unsigned(self):
+        # a bare zero position left unsigned stands for both signings
+        A = build_arcs(P("+oxox", 0))
+        (arc,) = [a for a in maximal_arcs(A) if a.support == 3]
+        assert fmt(remove_arc(A, arc)) == "ox"
+
     def test_offzero_removal(self):
         A = build_arcs(P("+xoox", 1))
         (arc,) = [a for a in maximal_arcs(A) if a.support == 3]

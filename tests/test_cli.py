@@ -294,11 +294,13 @@ def test_superdimension_longer_than_str_allows(run):
     ["parse", "D 1 0 / " + "9" * 5000 + " / -"],
     ["arcs", "-x^10000", "--t", "1", "--render"],
     ["es", "o" + "x" * 4999 + "o" * 4999, "--t", "1", "--series", "B", "--render"],
+    ["stabilize", ">" * 6666 + "x" * 3333, "--t", "1"],
 ])
 def test_input_above_the_cap_exits_1(run, argv):
     code, out, err = run(*argv)
     assert code == 1 and out == ""
     cap = ("MAX_RENDER_CELLS = 1000000" if "--render" in argv
+           else "MAX_MOVES = 1000000" if argv[0] == "stabilize"
            else "MAX_WIDTH = 10000")
     assert err.startswith("error: ") and cap in err
     # one line naming the cap: no echo of the input, no grammar

@@ -135,6 +135,8 @@ def _matches_reference(lam):
     for r, want in enumerate(reference.layers(lam)):
         dec = dsr(lam, r)
         assert dec.components == want.components, (fmt(lam), r)
+        for nu in dec.components:
+            assert validate(nu) == [], (fmt(lam), r, fmt(nu))
         assert check_purity(dec, lam), (fmt(lam), r)
     assert r == atypicality(lam) + 1
 
