@@ -15,15 +15,15 @@ forest, the maximal arcs, are exactly the removable ones, and the number
 ``e`` of free positions left of a root's support drives the graded
 multiplicities of the reduction.
 
-One left-to-right sweep finds the matching; it is the only one in the
-package, and the dotted cups of :func:`es_dotted` are read off it too.  The
-arcs are stored with the zero-stack arcs first, innermost first, then by
-support.  The last zero-stack arc is a root with e = 0; a later arc
-``arcs[i]`` is a root when it starts past the last root's reach.  Every arc
-before such a root lies wholly left of it and fills two positions, and
-position 0 of a t=2 diagram holds ``>``, so e = support - 2i - [t = 2].
-Thus e = 0 exactly when the support is 0 or 2N + [t = 2] with N arcs wholly
-to its left: the tightness test of :mod:`ospds.ds`.
+One left-to-right sweep finds the matching, and the roots with their ``e``
+as it goes; it is the only matcher in the package, and the dotted cups of
+:func:`es_dotted` are read off it too.  The top zero-stack arc is a root with
+e = 0; a single-ended arc is a root when it closes inside no arc and past
+that top.  The N arcs left of a root fill two positions each, and position
+0 of a t=2 diagram holds ``>``, so e = support - 2N - [t = 2]: e = 0 is the
+tightness test of :mod:`ospds.ds`.  The sweep builds every arc only when
+asked to; they are stored zero-stack arcs first, innermost first, then by
+support.
 
 Removing arcs leaves an even-series diagram unsigned: when its zero
 position is bare, the unsigned diagram stands for both of its signings,
@@ -73,34 +73,47 @@ def build_arcs(h: WeightDiagram) -> ArcDiagram:
 
 def _build_arcs(h: WeightDiagram) -> ArcDiagram:
     """:func:`build_arcs` of a diagram known to be valid and core-free."""
+    roots = _sweep(h, arcs := [])
+    return ArcDiagram(h, tuple(sorted(arcs)), roots)
+
+
+def _sweep(h: WeightDiagram, arcs: list[Arc] | None = None) -> dict[Arc, int]:
+    """The roots of the arc forest of a valid core-free diagram, left to
+    right, each mapped to its ``e``; every arc is appended to ``arcs`` when
+    a list is given."""
     zero_single = 1 if h.t != 2 and h.zero_crosses else 0
-    doubles = h.zero_crosses - zero_single
-    open_supports = [0] if zero_single else []
-    singles: list[Arc] = []
-    free: list[int] = []  # empty positions no single-ended arc takes
-    # enough trailing empties to close every arc; the tail holds no core symbol
-    trailing = EMPTY * (h.count(CROSS) + doubles)
-    for p, s in enumerate(h.tail_symbols + trailing, 1):
+    taken = 2 * (h.zero_crosses - zero_single)  # ends of the double-ended arcs
+    supports = [0] if zero_single else []
+    # empty positions no single-ended arc takes, 0 when it is bare
+    free = [] if h.t == 2 or h.zero_crosses else [0]
+    roots: dict[Arc, int] = {}
+    # enough trailing empties to close every single-ended arc
+    text = h.tail_symbols + EMPTY * (h.count(CROSS) - taken // 2)
+    for p, s in enumerate(text, 1):
         if s == CROSS:
-            open_supports.append(p)
-        elif open_supports:
-            singles.append(Arc(open_supports.pop(), 0, (p,)))
+            supports.append(p)
+        elif supports:
+            support = supports.pop()
+            root = not supports and len(free) >= taken  # past the zero stack's top
+            if root or arcs is not None:
+                arc = Arc(support, 0, (p,))
+                if root:
+                    roots[arc] = len(free) - taken
+                if arcs is not None:
+                    arcs.append(arc)
         else:
             free.append(p)
-    double_arcs = [Arc(0, zero_single + i, (free[2 * i], free[2 * i + 1]))
-                   for i in range(doubles)]
-    arcs = sorted(singles + double_arcs)
-    # the top of the zero stack covers every arc that starts left of its
-    # reach; past it, an arc is a root when it starts past the last root
-    roots, reach = {}, 0
-    if h.zero_crosses:
-        top = arcs[h.zero_crosses - 1]
-        roots[top], reach = 0, top.reach
-    for i in range(h.zero_crosses, len(arcs)):
-        if arcs[i].support > reach:
-            roots[arcs[i]] = arcs[i].support - 2 * i - (h.t == 2)
-            reach = arcs[i].reach
-    return ArcDiagram(h, tuple(arcs), roots)
+    if taken:
+        # the double-ended arcs take the first free positions two at a time,
+        # innermost first; past the text every position is free
+        free.extend(range(len(text) + 1, len(text) + 1 + taken - len(free)))
+        first = 0 if arcs is not None else taken - 2  # else the top alone
+        doubles = [Arc(0, zero_single + i // 2, (free[i], free[i + 1]))
+                   for i in range(first, taken, 2)]
+        roots = {doubles[-1]: 0, **roots}
+        if arcs is not None:
+            arcs.extend(doubles)
+    return roots
 
 
 def maximal_arcs(diagram: ArcDiagram) -> list[Arc]:
@@ -125,8 +138,8 @@ def _erase(d: WeightDiagram, supports: list[int]) -> WeightDiagram:
     for p in supports:
         if p:
             tail[p - 1] = EMPTY
-    return WeightDiagram(d.t, stack, d.zero_core, "".join(tail),
-                         d.sign if stack and d.t == 1 else None)
+    return WeightDiagram._trusted(d.t, stack, d.zero_core, "".join(tail),
+                                  d.sign if stack and d.t == 1 else None)
 
 
 def free_left(diagram: ArcDiagram, arc: Arc) -> int:

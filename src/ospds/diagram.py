@@ -32,11 +32,14 @@ A diagram stores its positions past 0 as a string over ``o x > <``, and the
 symbol names :data:`GT`, :data:`LT`, :data:`CROSS`, :data:`EMPTY` are those
 characters.  :func:`parse` refuses a zero stack or a width above
 :data:`MAX_WIDTH`.
+
+The public constructor checks the shape of every field.  The library builds
+its own diagrams from checked fields through ``WeightDiagram._trusted``,
+which skips that check; it is not for diagrams made from input.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,7 +61,7 @@ CORE_SYMBOLS = (GT, LT)
 MAX_WIDTH = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightDiagram:
     """Immutable weight diagram of block type ``t``.
 
@@ -89,6 +92,18 @@ class WeightDiagram:
         # the completely empty diagram is canonically unsigned
         if self.sign is not None and not self.has_symbols:
             object.__setattr__(self, "sign", None)
+
+    @classmethod
+    def _trusted(cls, t: int, zero_crosses: int, zero_core: str | None,
+                 tail: str, sign: str | None) -> "WeightDiagram":
+        """Unchecked construction from well-shaped fields, in canonical form."""
+        d, put, tail = object.__new__(cls), object.__setattr__, tail.rstrip(EMPTY)
+        put(d, "t", t)
+        put(d, "zero_crosses", zero_crosses)
+        put(d, "zero_core", zero_core)
+        put(d, "tail_symbols", tail)
+        put(d, "sign", sign if zero_crosses or zero_core or tail else None)
+        return d
 
     # -- basic geometry ----------------------------------------------------
 
@@ -127,10 +142,13 @@ class WeightDiagram:
         return n
 
     def with_tail(self, tail) -> "WeightDiagram":
-        return dataclasses.replace(self, tail_symbols=tail)
+        return WeightDiagram(self.t, self.zero_crosses, self.zero_core, tail, self.sign)
 
     def with_sign(self, sign: str | None) -> "WeightDiagram":
-        return dataclasses.replace(self, sign=sign)
+        if sign not in (None, "+", "-"):
+            raise DomainError(f"sign must be '+', '-' or None, got {sign!r}")
+        return WeightDiagram._trusted(self.t, self.zero_crosses, self.zero_core,
+                                      self.tail_symbols, sign)
 
     def set_positions(self, updates: dict[int, str]) -> "WeightDiagram":
         """Copy with the given positive positions overwritten."""
@@ -280,7 +298,7 @@ def core_of(d: WeightDiagram) -> WeightDiagram:
     sign = None
     if d.t == 0 and d.zero_core is None and GT in tail:
         sign = "+"
-    return WeightDiagram(d.t, 0, d.zero_core, tail, sign)
+    return WeightDiagram._trusted(d.t, 0, d.zero_core, tail, sign)
 
 
 def atypicality(d: WeightDiagram) -> int:

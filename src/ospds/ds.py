@@ -40,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .arcs import Arc, ArcDiagram, _build_arcs, _erase
+from .arcs import Arc, ArcDiagram, _build_arcs, _erase, _sweep
 from .diagram import (DomainError, WeightDiagram, atypicality, check_valid,
                       core_of, fmt, pari, sigma)
 from .howl import _howl, _unhowl, howl
@@ -109,10 +109,9 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
     if r > atypicality(lam):
         return out
     h = _howl(lam)
-    diagram = _build_arcs(h)
-    # r = 1: the roots, tight when no free position lies left of the support
-    filters = ([[(a, 1, 0, e == 0)] for a, e in diagram.roots.items()]
-               if r == 1 else _filters(diagram, r))
+    # r = 1: only the roots, tight when no free position lies left of the support
+    filters = ([[(a, 1, 0, e == 0)] for a, e in _sweep(h).items()]
+               if r == 1 else _filters(_build_arcs(h), r))
     g, t2 = core_of(lam), h.t == 2
     for members in filters:
         w = _weight(h, members)
@@ -202,27 +201,19 @@ def _after_stack(chain: list[int], r: int) -> tuple[int, int]:
     return sum(ways * 2 ** n for n, ways in after.items()), orders
 
 
-def _pari_of(d: WeightDiagram) -> int:
-    return pari(howl(d))
-
-
 def check_purity(dec: Decomposition, lam: WeightDiagram) -> bool:
     """No component may occur together with its parity shift, and the grading
     of each component must be the source grading twisted by the shift."""
-    base = _pari_of(lam)
+    base = pari(howl(lam))
     for nu, (d0, d1) in dec.components.items():
         if d0 and d1:
             return False
-        p = _pari_of(nu)
+        p = pari(howl(nu))
         if d0 and p != base:
             return False
         if d1 and p != -base:
             return False
     return True
-
-
-def _strip_sign(d: WeightDiagram) -> WeightDiagram:
-    return d.with_sign(None) if d.sign else d
 
 
 def ds_osp(lam: WeightDiagram) -> Decomposition:
@@ -240,7 +231,7 @@ def ds_osp(lam: WeightDiagram) -> Decomposition:
     out = Decomposition(lam.t)
     seen: set[WeightDiagram] = set()
     for nu, g in plain.components.items():
-        key = _strip_sign(nu)
+        key = nu.with_sign(None)
         if key in seen:
             continue
         seen.add(key)

@@ -12,8 +12,8 @@ diagram it re-distributes the crosses over the core's free slots.  The t=1
 sign decides whether one stack cross spills onto the first free slot, which
 is the only ambiguity the forward map collapses.  Inside the reduction an
 unsigned t=0 diagram with a bare zero position stands for both of its
-signings: each lift is built once, with its final sign, and only the public
-``unhowl`` checks the lifts.
+signings: each lift is built once, unchecked and with its final sign; only
+the public ``unhowl`` checks the lifts.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _howl(d: WeightDiagram) -> WeightDiagram:
     tail = d.tail_symbols.replace(GT, "").replace(LT, "")
     stack = d.zero_crosses
     if d.t == 2:
-        return WeightDiagram(2, stack, GT, tail)
+        return WeightDiagram._trusted(2, stack, GT, tail, None)
     if d.zero_core is not None:
         # the zero core is forgotten: the first free position becomes zero
         if tail[:1] == CROSS:
@@ -45,7 +45,7 @@ def _howl(d: WeightDiagram) -> WeightDiagram:
         tail = tail[1:]
     if d.t == 0:
         # copy the sign whenever the compacted diagram still needs one
-        return WeightDiagram(0, stack, None, tail, None if stack else d.sign)
+        return WeightDiagram._trusted(0, stack, None, tail, None if stack else d.sign)
     want = tail_length(d)
     if stack == 0:
         sign = None
@@ -55,7 +55,7 @@ def _howl(d: WeightDiagram) -> WeightDiagram:
         sign = "+"
     else:
         raise DomainError(f"the tail length of {fmt(d)!r} does not survive compaction")
-    return WeightDiagram(1, stack, None, tail, sign)
+    return WeightDiagram._trusted(1, stack, None, tail, sign)
 
 
 def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
@@ -72,7 +72,8 @@ def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
         raise UnhowlError("first argument must be a core diagram (no crosses)")
     if not h.is_core_free():
         raise UnhowlError("second argument must be core-free")
-    lifts = _unhowl(g, h)
+    lifts = [WeightDiagram(d.t, d.zero_crosses, d.zero_core, d.tail_symbols, d.sign)
+             for d in _unhowl(g, h)]
     for lift in lifts:
         bad = validate(lift)
         if bad:
@@ -103,7 +104,7 @@ def _unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
         signs = [h.sign]
     elif g.t == 0 and not stack and (GT in tail or CROSS in tail):
         signs = [h.sign] if h.sign else ["+", "-"]
-    return [WeightDiagram(g.t, stack, g.zero_core, tail, sign) for sign in signs]
+    return [WeightDiagram._trusted(g.t, stack, g.zero_core, tail, sign) for sign in signs]
 
 
 def tau(h: WeightDiagram) -> WeightDiagram:

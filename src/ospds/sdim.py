@@ -10,44 +10,41 @@ odd directions and every component is typical there, so the answer is 0.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .diagram import (CROSS, GT, LT, DomainError, WeightDiagram, atypicality,
                       check_valid, fmt)
 from .ds import _dsr
 
-Q = Fraction
-
 
 def _dim_from_shifted(N: int, a: list[Fraction]) -> int:
-    """Weyl dimension of so_N from the rho-shifted weight ``a``."""
-    r = len(a)
+    """Weyl dimension of so_N from the rho-shifted weight ``a``.  Doubled,
+    the coordinates are integers; the powers of 2 cancel in the quotient of
+    the products at ``a`` and at rho, so one division is exact or fails."""
     if N <= 2:
         return 1
-    if N % 2:  # odd: shifted rho is (r - 1/2, ..., 1/2)
-        rho = [Q(2 * (r - i) - 1, 2) for i in range(r)]
-    else:  # even: (r - 1, ..., 1, 0)
-        rho = [Q(r - 1 - i) for i in range(r)]
-    num = den = Q(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            num *= a[i] ** 2 - a[j] ** 2
-            den *= rho[i] ** 2 - rho[j] ** 2
-    if N % 2:
-        for i in range(r):
-            num *= a[i]
-            den *= rho[i]
-    dim = num / den
-    if dim.denominator != 1 or dim <= 0:
+    # doubled rho: (2r - 1, ..., 3, 1) for odd N, (2r - 2, ..., 2, 0) for even
+    rho = list(range(2 * len(a) - 2 + N % 2, -1, -2))
+
+    def product(x: list[int]) -> int:
+        """The product of x_i^2 - x_j^2 over i < j, times every x_i for odd N."""
+        sq = [y * y for y in x]
+        # row by row, so that few products involve the large running one
+        out = math.prod(math.prod(p - q for q in sq[i + 1:]) for i, p in enumerate(sq))
+        return out * math.prod(x) if N % 2 else out
+
+    dim, rest = divmod(product([int(2 * x) for x in a]), product(rho))
+    if rest or dim <= 0:
         raise DomainError("weight is not dominant for so_%d" % N)
-    return int(dim)
+    return dim
 
 
 def weyl_dim_so(N: int, hw) -> int:
     """Dimension of the irreducible so_N module with highest weight ``hw``."""
     if N < 0:
         raise DomainError("N must be non-negative")
-    hw = [Q(x) for x in hw]
+    hw = [Fraction(x) for x in hw]
     r = N // 2
     if len(hw) != r:
         raise DomainError(f"so_{N} takes {r} weight coordinates, got {len(hw)}")
@@ -57,11 +54,11 @@ def weyl_dim_so(N: int, hw) -> int:
     if N % 2:
         if hw and hw[-1] < 0:
             raise DomainError("odd so weights are non-negative")
-        a = [x + Q(2 * (r - i) - 1, 2) for i, x in enumerate(hw)]
+        a = [x + Fraction(2 * (r - i) - 1, 2) for i, x in enumerate(hw)]
     else:
         if len(hw) >= 2 and hw[-2] < abs(hw[-1]):
             raise DomainError("even so weights need hw[r-2] >= |hw[r-1]|")
-        a = [x + Q(r - 1 - i) for i, x in enumerate(hw)]
+        a = [x + Fraction(r - 1 - i) for i, x in enumerate(hw)]
     if any((2 * x).denominator != 1 for x in hw):
         raise DomainError("weight coordinates must be integers or half-integers")
     return _dim_from_shifted(N, a)
@@ -77,8 +74,8 @@ def _component_dim(nu: WeightDiagram) -> int:
                        reverse=True)
     if nu.zero_core == GT:
         positions.append(0)
-    shift = Q(1, 2) if nu.t == 1 else Q(0)
-    a = [Q(p) + shift for p in positions]
+    shift = Fraction(1, 2) if nu.t == 1 else Fraction(0)
+    a = [Fraction(p) + shift for p in positions]
     N = 2 * len(a) + (1 if nu.t == 1 else 0)
     return _dim_from_shifted(N, a)
 

@@ -13,10 +13,16 @@ multiplicities in the parity-shift group ring.
 every position list and tests every core position against every cross on
 each move.
 
+``dim_from_shifted`` is the Weyl product of :mod:`ospds.sdim` over
+``Fraction`` factors, with a gcd on every multiplication, where the library
+multiplies doubled integer coordinates and divides once.
+
 ``es_dotted`` is the dotted-cup conversion of :mod:`ospds.arcs` with its own
 cup matcher over sets of positions, quadratic in the nesting depth, where
 the library reads the cups off the arcs of one recast diagram.
 """
+
+from fractions import Fraction
 
 from ospds.arcs import (DottedArcs, _build_arcs, free_left, maximal_arcs,
                         remove_arc)
@@ -148,3 +154,27 @@ def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
                  sign if keep else None)
     return DottedArcs(base, tuple(sorted(plain + dotted)),
                       frozenset(a for a, _ in dotted))
+
+
+def dim_from_shifted(N: int, a: list[Fraction]) -> int:
+    """Weyl dimension of so_N from the rho-shifted weight ``a``."""
+    r = len(a)
+    if N <= 2:
+        return 1
+    if N % 2:  # odd: shifted rho is (r - 1/2, ..., 1/2)
+        rho = [Fraction(2 * (r - i) - 1, 2) for i in range(r)]
+    else:  # even: (r - 1, ..., 1, 0)
+        rho = [Fraction(r - 1 - i) for i in range(r)]
+    num = den = Fraction(1)
+    for i in range(r):
+        for j in range(i + 1, r):
+            num *= a[i] ** 2 - a[j] ** 2
+            den *= rho[i] ** 2 - rho[j] ** 2
+    if N % 2:
+        for i in range(r):
+            num *= a[i]
+            den *= rho[i]
+    dim = num / den
+    if dim.denominator != 1 or dim <= 0:
+        raise DomainError("weight is not dominant for so_%d" % N)
+    return int(dim)

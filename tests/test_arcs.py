@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 import reference
-from ospds.arcs import (Arc, arcs_json, build_arcs, es_dotted, free_left,
-                        maximal_arcs, remove_arc, render_ascii, render_dotted)
+from ospds.arcs import (Arc, _sweep, arcs_json, build_arcs, es_dotted,
+                        free_left, maximal_arcs, remove_arc, render_ascii,
+                        render_dotted)
 from ospds.diagram import (CROSS, EMPTY, DomainError, WeightDiagram,
                            atypicality, enumerate_corefree, fmt)
 from ospds.howl import howl
@@ -139,6 +140,15 @@ class TestOrder:
     def test_roots_match_the_reference_on_random_diagrams(self, lam):
         _roots_match_the_reference(howl(lam))
 
+    def test_roots_only_sweep(self, corefree_pool):
+        for h in corefree_pool + [P(text, t) for text, t in WIDE] + [P(NEST, 1)]:
+            _roots_only_sweep_matches(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams())
+    def test_roots_only_sweep_on_random_diagrams(self, lam):
+        _roots_only_sweep_matches(howl(lam))
+
     def test_maximality_matches_rebuild_characterisation(self, corefree_pool):
         # independent check: an arc is maximal exactly when deleting its cross
         # re-arcs to the remaining arcs unchanged
@@ -169,6 +179,13 @@ def _roots_match_the_reference(h):
     free = free_positions(A)
     for a in maximal_arcs(A):
         assert free_left(A, a) == sum(1 for p in free if p < a.support), (fmt(h), a)
+
+
+def _roots_only_sweep_matches(h):
+    """The sweep without a list gives the roots of the whole forest, with
+    the same ``e``, in the same order, and those match the reference."""
+    assert list(_sweep(h).items()) == list(build_arcs(h).roots.items()), fmt(h)
+    _roots_match_the_reference(h)
 
 
 class TestRemoveArc:

@@ -38,6 +38,28 @@ class TestParseFormat:
         assert WeightDiagram(0, sign="+") == WeightDiagram(0)
 
 
+class TestConstruction:
+    def test_no_instance_dict(self):
+        # slots keep a diagram small; an instance dict more than doubles it
+        assert not hasattr(P("-x^2oxoox", 1), "__dict__")
+
+    def test_trusted_keeps_the_canonical_form(self):
+        assert WeightDiagram._trusted(1, 2, None, "xoo", "-") == P("-x^2x", 1)
+        assert WeightDiagram._trusted(0, 0, None, "ooo", "+") == WeightDiagram(0)
+
+    def test_with_sign_checks_the_sign(self):
+        with pytest.raises(DomainError):
+            P("+ox", 0).with_sign("*")
+
+    def test_with_sign_matches_the_public_constructor(self, corefree_pool):
+        for d in corefree_pool:
+            for sign in (None, "+", "-"):
+                public = WeightDiagram(d.t, d.zero_crosses, d.zero_core,
+                                       d.tail_symbols, sign)
+                got = d.with_sign(sign)
+                assert got == public and hash(got) == hash(public)
+
+
 class TestValidate:
     def test_signed_bare_stack_is_valid_odd(self):
         assert validate(P("-x", 1)) == []

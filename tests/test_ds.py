@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 import reference
-from ospds.diagram import (atypicality, core_of, enumerate_corefree, fmt,
-                           is_stable, sigma, validate)
+from ospds import ds as ds_module
+from ospds.diagram import (WeightDiagram, atypicality, core_of,
+                           enumerate_corefree, fmt, is_stable, sigma, validate)
 from ospds.ds import Decomposition, GradedMult, check_purity, ds1, ds_osp, dsr
 from ospds.howl import UnhowlError, howl, tau, unhowl
 from ospds.translate import stabilize
@@ -166,6 +167,51 @@ class TestAgainstTheIteratedReference:
     @given(lam=diagrams())
     def test_random_diagrams(self, lam):
         _matches_reference(lam)
+
+
+class TestTrustedConstruction:
+    """The reduction builds its compacted, erased and lifted diagrams and the
+    cores without a check: each must be what the public constructor makes of
+    its own fields."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        out = []
+        for name in ("_howl", "core_of", "_erase", "_unhowl"):
+            def spy(*args, step=getattr(ds_module, name)):
+                result = step(*args)
+                out.extend(result if isinstance(result, list) else [result])
+                return result
+            monkeypatch.setattr(ds_module, name, spy)
+        return out
+
+    def test_pool(self, corefree_pool, built):
+        for lam in corefree_pool:
+            _built_as_public(lam, built)
+
+    def test_cored_lifts(self, small_cores, built):
+        for t, cores in small_cores.items():
+            for g in cores:
+                for k in range(1, 4):
+                    for h in enumerate_corefree(t, k, 7):
+                        try:
+                            lifts = unhowl(g, h)
+                        except UnhowlError:
+                            continue
+                        for lam in lifts:
+                            _built_as_public(lam, built)
+
+
+def _built_as_public(lam, built):
+    for r in range(atypicality(lam) + 1):
+        built.clear()
+        for nu in dsr(lam, r).components:
+            assert validate(nu) == [], (fmt(lam), r, fmt(nu))
+        assert built or r == 0
+        for d in built:
+            public = WeightDiagram(d.t, d.zero_crosses, d.zero_core,
+                                   d.tail_symbols, d.sign)
+            assert d == public and hash(d) == hash(public), (fmt(lam), r, d)
 
 
 class TestPurity:

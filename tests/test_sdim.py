@@ -2,14 +2,15 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ospds.diagram import GT, LT, DomainError, atypicality, enumerate_corefree
 from ospds.ds import ds1
 from ospds.howl import unhowl
-from ospds.sdim import _component_dim, superdimension, weyl_dim_so
+from ospds.sdim import (_component_dim, _dim_from_shifted, superdimension,
+                        weyl_dim_so)
 from conftest import P, diagrams
-from reference import dsr
+from reference import dim_from_shifted, dsr
 
 
 class TestWeylDim:
@@ -36,6 +37,25 @@ class TestWeylDim:
             weyl_dim_so(5, [0, 1])
         with pytest.raises(DomainError):
             weyl_dim_so(4, [1])
+
+    # doubled rho-shifted weights: sorted draws of one parity are mostly
+    # dominant, the others singular, out of order or of mixed parity, on
+    # which both routes raise
+    @settings(max_examples=400, deadline=None)
+    @given(N=st.integers(0, 24), data=st.data())
+    def test_integer_product_matches_the_fraction_product(self, N, data):
+        ys = data.draw(st.lists(st.integers(-6, 80), min_size=N // 2,
+                                max_size=N // 2))
+        if ys and data.draw(st.booleans()):
+            ys = sorted((y - (y - ys[0]) % 2 for y in ys), reverse=True)
+        a = [Q(y, 2) for y in ys]
+        try:
+            want = dim_from_shifted(N, a)
+        except DomainError:
+            with pytest.raises(DomainError):
+                _dim_from_shifted(N, a)
+        else:
+            assert _dim_from_shifted(N, a) == want
 
 
 def _mn(lam):
