@@ -254,13 +254,13 @@ def fmt(d: WeightDiagram) -> str:
 def validate(d: WeightDiagram) -> list[str]:
     """Return the list of broken well-formedness rules (empty when valid)."""
     bad: list[str] = []
-    gt, cross = d.count(GT), d.count(CROSS)
     if d.t == 2:
         if d.zero_core != GT:
             bad.append("t=2 requires '>' at the zero position")
         if d.sign is not None:
             bad.append("t=2 diagrams carry no sign")
     elif d.t == 0:
+        gt, cross = d.count(GT), d.count(CROSS)
         if d.zero_core == GT:
             bad.append("'>' at the zero position makes the diagram type 2, not 0")
         if d.zero_core == LT and (gt or cross):

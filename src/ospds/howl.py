@@ -6,6 +6,7 @@ counts the positions strictly to its left that hold no core symbol (t=2
 shifts the off-zero landing spots up by one because the zero ``>`` is kept).
 Several crosses may share s_i = 0; they pile up on the zero stack.  The sign
 of the result is fixed by requiring the zero-stack tail length to survive.
+A core-free diagram is returned as it is.
 
 ``unhowl`` inverts this inside a block: given the core and the compacted
 diagram it re-distributes the crosses over the core's free slots.  The t=1
@@ -33,6 +34,8 @@ def howl(d: WeightDiagram) -> WeightDiagram:
 
 def _howl(d: WeightDiagram) -> WeightDiagram:
     """:func:`howl` of a diagram known to be valid."""
+    if d.is_core_free():
+        return d
     # deleting the core symbols puts every cross on its s-number
     tail = d.tail_symbols.replace(GT, "").replace(LT, "")
     stack = d.zero_crosses
@@ -72,6 +75,9 @@ def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
         raise UnhowlError("first argument must be a core diagram (no crosses)")
     if not h.is_core_free():
         raise UnhowlError("second argument must be core-free")
+    if h.t == 0 and h.sign == "+" and g.zero_core is not None:
+        raise UnhowlError(f"{fmt(h)!r} does not fit into core {fmt(g)!r}: a '+' sign "
+                          "moves a zero stack cross, and the stack is empty")
     lifts = [WeightDiagram(d.t, d.zero_crosses, d.zero_core, d.tail_symbols, d.sign)
              for d in _unhowl(g, h)]
     for lift in lifts:

@@ -15,6 +15,9 @@ for both of its signings at once, so its base value doubles.  A problem that
 merely passes through type 2 on its way from the even series keeps
 single-diagram semantics throughout.
 
+Only the two inputs are checked: the intermediates are built unchecked, and
+only the trace's shrink steps go through the public constructor.
+
 This is the package's second, arc-free route to the same numbers; the test
 suite checks it against the arc formula componentwise.
 """
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram,
-                      atypicality, check_valid, core_of, fmt, sigma)
+                      atypicality, check_valid, fmt, sigma)
 from .ds import GradedMult, ZERO
 from .howl import _howl
 
@@ -50,14 +53,14 @@ def _note(trace: list[Step] | None, rule: str, f, g) -> None:
 def _gap_after_zero(d: WeightDiagram) -> float:
     """Length of the empty run starting at position 1 (inf when no cross
     follows; the input is core-free, so only a cross can end the run)."""
-    crosses = d.cross_positions()
-    return crosses[0] - 1 if crosses else math.inf
+    u = d.tail_symbols.find(CROSS)
+    return u if u >= 0 else math.inf
 
 
 def _drop_prefix(d: WeightDiagram, n: int, new_stack: int,
                  sign: str | None) -> WeightDiagram:
     """Rebuild with positions 1..n removed and the zero data replaced."""
-    return WeightDiagram(d.t, new_stack, d.zero_core, d.tail_symbols[n:], sign)
+    return WeightDiagram._trusted(d.t, new_stack, d.zero_core, d.tail_symbols[n:], sign)
 
 
 def _base(f: WeightDiagram, scale: int) -> GradedMult:
@@ -65,7 +68,7 @@ def _base(f: WeightDiagram, scale: int) -> GradedMult:
     cross counts ``scale`` times."""
     if f.zero_crosses == 1:
         return GradedMult(1, 0)
-    u = f.cross_positions()[0]
+    u = f.tail_symbols.index(CROSS) + 1
     return GradedMult(scale, 0) if u % 2 == 0 else GradedMult(0, scale)
 
 
@@ -76,7 +79,10 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
     check_valid(nu)
     if lam.t != nu.t:
         raise DomainError("source and target must share the block type")
-    if core_of(lam) != core_of(nu):
+    # same t, zero core and crossless tail: same core (the t=0 sign follows)
+    if (lam.zero_core != nu.zero_core
+            or lam.tail_symbols.replace(CROSS, EMPTY).rstrip(EMPTY)
+            != nu.tail_symbols.replace(CROSS, EMPTY).rstrip(EMPTY)):
         _note(trace, "cores differ", lam, nu)
         return ZERO
     if atypicality(lam) - atypicality(nu) != 1:
@@ -100,7 +106,8 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
         if trace is not None:
             _note(trace, f"shrink at {u}", f.with_tail(tail),
                   g.with_tail(g.tail_symbols[:u - 1]))
-    f, g = f.with_tail(tail), g.with_tail("")
+    f = WeightDiagram._trusted(f.t, f.zero_crosses, f.zero_core, tail, f.sign)
+    g = WeightDiagram._trusted(g.t, g.zero_crosses, g.zero_core, "", g.sign)
 
     t = f.t
     if t == 1:
@@ -150,7 +157,7 @@ def _even_stack(f: WeightDiagram, i: int,
     if f.zero_crosses == 0 or f.sym(1) == CROSS:
         _note(trace, "stack mismatch", f, f"x^{i}")
         return ZERO
-    f2 = WeightDiagram(2, f.zero_crosses - 1, GT, f.tail_symbols[1:])
+    f2 = WeightDiagram._trusted(2, f.zero_crosses - 1, GT, f.tail_symbols[1:], None)
     _note(trace, "to type 2", f2, f"x^{i - 1}/>")
     return _type2(f2, i - 1, trace, double_bare=False)
 
@@ -168,6 +175,6 @@ def _type2(f: WeightDiagram, i: int, trace: list[Step] | None,
         _note(trace, "shorten gap", f, ">")
     # target is the bare ``>``: drop it and return to the even series
     stack = f.zero_crosses + (1 if f.sym(1) == CROSS else 0)
-    f2 = WeightDiagram(0, stack, None, f.tail_symbols[1:])
+    f2 = WeightDiagram._trusted(0, stack, None, f.tail_symbols[1:], None)
     _note(trace, "drop zero >", f2, "o")
     return _base(f2, 2 if double_bare and stack == 0 else 1)

@@ -18,10 +18,10 @@ from .diagram import (CROSS, GT, LT, DomainError, WeightDiagram, atypicality,
 from .ds import _dsr
 
 
-def _dim_from_shifted(N: int, a: list[Fraction]) -> int:
-    """Weyl dimension of so_N from the rho-shifted weight ``a``.  Doubled,
-    the coordinates are integers; the powers of 2 cancel in the quotient of
-    the products at ``a`` and at rho, so one division is exact or fails."""
+def _dim_from_shifted(N: int, a: list[int]) -> int:
+    """Weyl dimension of so_N from the doubled rho-shifted weight ``a``, whose
+    coordinates are integers; the powers of 2 cancel in the quotient of the
+    products at ``a`` and at rho, so one division is exact or fails."""
     if N <= 2:
         return 1
     # doubled rho: (2r - 1, ..., 3, 1) for odd N, (2r - 2, ..., 2, 0) for even
@@ -34,7 +34,7 @@ def _dim_from_shifted(N: int, a: list[Fraction]) -> int:
         out = math.prod(math.prod(p - q for q in sq[i + 1:]) for i, p in enumerate(sq))
         return out * math.prod(x) if N % 2 else out
 
-    dim, rest = divmod(product([int(2 * x) for x in a]), product(rho))
+    dim, rest = divmod(product(a), product(rho))
     if rest or dim <= 0:
         raise DomainError("weight is not dominant for so_%d" % N)
     return dim
@@ -54,14 +54,12 @@ def weyl_dim_so(N: int, hw) -> int:
     if N % 2:
         if hw and hw[-1] < 0:
             raise DomainError("odd so weights are non-negative")
-        a = [x + Fraction(2 * (r - i) - 1, 2) for i, x in enumerate(hw)]
-    else:
-        if len(hw) >= 2 and hw[-2] < abs(hw[-1]):
-            raise DomainError("even so weights need hw[r-2] >= |hw[r-1]|")
-        a = [x + Fraction(r - 1 - i) for i, x in enumerate(hw)]
+    elif len(hw) >= 2 and hw[-2] < abs(hw[-1]):
+        raise DomainError("even so weights need hw[r-2] >= |hw[r-1]|")
     if any((2 * x).denominator != 1 for x in hw):
         raise DomainError("weight coordinates must be integers or half-integers")
-    return _dim_from_shifted(N, a)
+    rho = range(2 * r - 2 + N % 2, -1, -2)  # doubled, as in _dim_from_shifted
+    return _dim_from_shifted(N, [int(2 * x) + y for x, y in zip(hw, rho)])
 
 
 def _component_dim(nu: WeightDiagram) -> int:
@@ -74,10 +72,9 @@ def _component_dim(nu: WeightDiagram) -> int:
                        reverse=True)
     if nu.zero_core == GT:
         positions.append(0)
-    shift = Fraction(1, 2) if nu.t == 1 else Fraction(0)
-    a = [Fraction(p) + shift for p in positions]
-    N = 2 * len(a) + (1 if nu.t == 1 else 0)
-    return _dim_from_shifted(N, a)
+    # the doubled shifted coordinates: 2p + 1 for the odd series, 2p for the even
+    odd = 1 if nu.t == 1 else 0
+    return _dim_from_shifted(2 * len(positions) + odd, [2 * p + odd for p in positions])
 
 
 def superdimension(lam: WeightDiagram, m: int, n: int) -> int:

@@ -105,6 +105,13 @@ class TestOtherCommands:
         code, out, _ = run("unhowl", "+o>", "o", "--t", "0")
         assert code == 0 and out.split() == ["+o>", "-o>"]
 
+    def test_unhowl_misfit_names_both_diagrams(self, run):
+        # a '+'-signed t=0 diagram has no stack cross for a core with '<' at zero
+        code, out, err = run("unhowl", "<", "+ox", "--t", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'<'" in err and "'+ox'" in err
+
     def test_tau(self, run):
         assert run("tau", ">xoox", "--t", "2")[1].strip() == "+xoox"
         assert run("tau", "+xoox", "--t", "1", "--inverse")[1].strip() == ">xoox"

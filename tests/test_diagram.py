@@ -87,6 +87,24 @@ class TestValidate:
         assert validate(parse("x", 1))
         assert validate(P("x/<", 1)) == []
 
+    # the counts of '>' and crosses are read by the t=0 rules only; the rules
+    # of the other types must still fire on diagrams that hold both
+    @pytest.mark.parametrize("t,stack,zero,tail,sign,want", [
+        (0, 0, LT, "x>", "+", ["t=0 forbids '<' at the zero position unless the "
+                               "diagram has no '>' and no 'x' at all",
+                               "sign present but the zero position is occupied"]),
+        (0, 2, LT, "", None, ["t=0 forbids '<' at the zero position unless the "
+                              "diagram has no '>' and no 'x' at all"]),
+        (0, 0, None, "o>x", None, ["t=0 diagram with empty zero position must carry a sign"]),
+        (1, 2, None, "x>x", None, ["t=1 diagram with a bare zero stack must carry a sign"]),
+        (1, 1, GT, "x>", "+", ["sign present but the zero position is not a bare stack"]),
+        (1, 0, None, ">x", "-", ["sign present but the zero position is not a bare stack"]),
+        (2, 1, GT, "x>x", "+", ["t=2 diagrams carry no sign"]),
+        (2, 1, LT, ">x", None, ["t=2 requires '>' at the zero position"]),
+    ])
+    def test_rules_on_diagrams_with_gt_and_crosses(self, t, stack, zero, tail, sign, want):
+        assert validate(WeightDiagram(t, stack, zero, tail, sign)) == want
+
 
 class TestCore:
     def test_cross_next_to_core(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from ospds.diagram import (DomainError, atypicality, core_of,
                            enumerate_corefree, fmt, is_stable, tail_length,
                            validate)
-from ospds.howl import UnhowlError, howl, tau, tau_inv, unhowl
+from ospds.howl import UnhowlError, _howl, howl, tau, tau_inv, unhowl
 from conftest import P, diagrams
 
 
@@ -68,6 +68,20 @@ class TestHowl:
                         assert skeleton.zero_crosses == want.zero_crosses
                         assert skeleton.cross_positions() == want.cross_positions()
 
+    def test_core_free_diagram_is_returned_as_it_is(self, corefree_pool):
+        for d in corefree_pool:
+            assert _howl(d) is d
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=diagrams())
+    def test_compaction_is_idempotent_on_random_diagrams(self, d):
+        h = _howl(d)
+        if d.is_core_free():
+            assert h is d
+        else:
+            assert h.is_core_free() and validate(h) == []
+            assert _howl(h) == h
+
 
 class TestUnhowl:
     def test_inverts_the_worked_example(self):
@@ -124,6 +138,13 @@ class TestUnhowl:
         # a bare-stack diagram cannot enter a block whose zero position is '<'
         with pytest.raises(UnhowlError):
             unhowl(P("<", 0), P("x", 0))
+
+    @pytest.mark.parametrize("core", ["<", "<o<"])
+    def test_plus_signed_even_diagram_does_not_fit_a_zero_lt(self, core):
+        # a '+' sign would move a cross of the empty zero stack onto the
+        # first free slot; the refusal names both diagrams
+        with pytest.raises(UnhowlError, match=f"'\\+ox' does not fit into core '{core}'"):
+            unhowl(P(core, 0), P("+ox", 0))
 
 
 class TestTau:

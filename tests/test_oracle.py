@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ospds.diagram import (EMPTY, atypicality, core_of, enumerate_corefree,
                            fmt, sigma, validate)
@@ -87,6 +87,58 @@ class TestConsistency:
                         continue
                     assert oracle_mult1(lam, nu) == oracle_mult1(lam2, nu2), \
                         (fmt(lam), fmt(nu))
+
+
+def _cores_differ(lam, nu):
+    """True when the oracle stops at once on a core mismatch."""
+    trace: list[Step] = []
+    g = oracle_mult1(lam, nu, trace)
+    differ = trace[0].rule == "cores differ"
+    assert g == ZERO or not differ
+    return differ
+
+
+class TestCoreComparison:
+    """The oracle compares cores on their fields; it must tell two diagrams
+    apart exactly when ``core_of`` does."""
+
+    @pytest.mark.parametrize("lam,nu,same", [
+        ("+ox>", "+oo>>", False),     # a trailing '>'
+        ("+ox", "+o>", False),        # a trailing '>' that also signs the core
+        ("o", "<", False),            # the zero '<'
+        ("+ox", "<", False),
+        ("+ox>", "-oo>", True),       # opposite signs over one '+' core
+        ("-oxx>", "x^2oo>", True),    # a signed and a stacked diagram, one '+' core
+        ("+oxx", "x^2", True),        # a signed and a stacked diagram, unsigned core
+    ])
+    def test_even_series_cases(self, lam, nu, same):
+        a, b = P(lam, 0), P(nu, 0)
+        assert (core_of(a) == core_of(b)) is same
+        assert _cores_differ(a, b) is not same
+        assert _cores_differ(b, a) is not same
+
+    def test_all_pairs_of_small_lifts(self, small_cores):
+        for t, cores in small_cores.items():
+            lifts = []
+            for g in cores:
+                for k in range(3):
+                    for h in enumerate_corefree(t, k, 4):
+                        try:
+                            lifts.extend(unhowl(g, h))
+                        except UnhowlError:
+                            pass
+            for lam in lifts:
+                for nu in lifts:
+                    assert _cores_differ(lam, nu) is (core_of(lam) != core_of(nu)), \
+                        (fmt(lam), fmt(nu))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams(), data=st.data())
+    def test_random_same_type_pairs(self, lam, data):
+        # a random draw of the same type, or a diagram over the same core
+        nu = data.draw(st.one_of(diagrams().filter(lambda d: d.t == lam.t),
+                                 st.sampled_from([lam, sigma(lam), core_of(lam)])))
+        assert _cores_differ(lam, nu) is (core_of(lam) != core_of(nu))
 
 
 def _signed_stack(sign, p, rest=""):

@@ -48,14 +48,13 @@ class TestWeylDim:
                                 max_size=N // 2))
         if ys and data.draw(st.booleans()):
             ys = sorted((y - (y - ys[0]) % 2 for y in ys), reverse=True)
-        a = [Q(y, 2) for y in ys]
         try:
-            want = dim_from_shifted(N, a)
+            want = dim_from_shifted(N, [Q(y, 2) for y in ys])
         except DomainError:
             with pytest.raises(DomainError):
-                _dim_from_shifted(N, a)
+                _dim_from_shifted(N, ys)
         else:
-            assert _dim_from_shifted(N, a) == want
+            assert _dim_from_shifted(N, ys) == want
 
 
 def _mn(lam):
