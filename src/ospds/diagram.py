@@ -14,6 +14,11 @@ single core symbol underneath the stack.  Three block types exist:
 * ``t = 2`` -- the even series osp(2m+2|2n) whose zero position always holds
   ``>`` (optionally under a stack).  Never signed.
 
+Position 1 folds into the zero position when a zero core symbol leaves or a
+type-2 zero ``>`` is dropped (Gruson--Serganova): a cross tops the stack
+under ``+``, an empty leaves ``-`` on a non-empty stack and no sign on an
+empty one.  Unfolding undoes it: only ``+`` moves the top cross to position 1.
+
 Diagrams are finitely supported: positions past the stored width are empty,
 and two diagrams are equal iff they agree after trimming trailing empties.
 The completely empty diagram is canonically unsigned.
@@ -286,6 +291,33 @@ def check_valid(d: WeightDiagram) -> WeightDiagram:
     if bad:
         raise DomainError(f"invalid diagram {fmt(d)!r} (t={d.t}): " + "; ".join(bad))
     return d
+
+
+def _check_counts(d: WeightDiagram, m: int, n: int) -> int:
+    """Check ``d`` and that it has the counts of osp(2m+t|2n); returns k."""
+    check_valid(d)
+    k = atypicality(d)
+    want_gt = m + 1 - k if d.t == 2 else m - k
+    if d.count(GT) != want_gt or d.count(LT) != n - k:
+        raise DomainError(f"count mismatch: {fmt(d)!r} does not describe a weight "
+                          f"with m={m}, n={n}")
+    return k
+
+
+# -- the zero position ---------------------------------------------------------
+
+def _fold(stack: int, tail: str) -> tuple[int, str, str | None]:
+    """Fold position 1 (``tail[0]``) into the zero stack: (stack, rest, sign)."""
+    if tail[:1] == CROSS:
+        return stack + 1, tail[1:], "+"
+    return stack, tail[1:], "-" if stack else None
+
+
+def _unfold(stack: int, tail: str, sign: str | None) -> tuple[int, str]:
+    """Inverse of :func:`_fold`: the stack and the tail from position 1 on."""
+    if sign == "+":
+        return stack - 1, CROSS + tail
+    return stack, EMPTY + tail
 
 
 # -- elementary statistics ----------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram,
+from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _fold,
                       atypicality, check_valid, fmt, sigma)
 from .ds import GradedMult, ZERO
 from .howl import _howl
@@ -174,7 +174,7 @@ def _type2(f: WeightDiagram, i: int, trace: list[Step] | None,
         f = _drop_prefix(f, 2 * i, p - i, None)
         _note(trace, "shorten gap", f, ">")
     # target is the bare ``>``: drop it and return to the even series
-    stack = f.zero_crosses + (1 if f.sym(1) == CROSS else 0)
-    f2 = WeightDiagram._trusted(0, stack, None, f.tail_symbols[1:], None)
+    stack, tail, _ = _fold(f.zero_crosses, f.tail_symbols)
+    f2 = WeightDiagram._trusted(0, stack, None, tail, None)
     _note(trace, "drop zero >", f2, "o")
     return _base(f2, 2 if double_bare and stack == 0 else 1)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .diagram import (CROSS, GT, LT, DomainError, WeightDiagram, atypicality,
-                      check_valid, fmt)
+from .diagram import CROSS, GT, LT, DomainError, WeightDiagram, _check_counts
 from .ds import _dsr
 
 
@@ -80,12 +79,7 @@ def _component_dim(nu: WeightDiagram) -> int:
 def superdimension(lam: WeightDiagram, m: int, n: int) -> int:
     """Superdimension of the simple module with diagram ``lam`` over
     osp(2m+t|2n); ``(m, n)`` must match the diagram's symbol counts."""
-    check_valid(lam)
-    k = atypicality(lam)
-    want_gt = m + 1 - k if lam.t == 2 else m - k
-    if lam.count(GT) != want_gt or lam.count(LT) != n - k:
-        raise DomainError(f"count mismatch: {fmt(lam)!r} does not describe a weight "
-                          f"with m={m}, n={n}")
+    k = _check_counts(lam, m, n)
     if n > k:
         return 0
     return sum((g.d0 - g.d1) * _component_dim(nu)

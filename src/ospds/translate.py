@@ -2,24 +2,21 @@
 
 Away from zero a move exchanges the symbols at two adjacent positions, one of
 which carries a core symbol.  At position zero (odd series only) the core
-symbol slides out from under the stack, adjusting the sign:
-
-    > o f  ->  o > f          x^i/> o f  ->  -x^i > f
-    > x f  ->  +x > f         x^i/> x f  ->  +x^(i+1) > f     (i > 0)
-
-and the mirror rules with ``<``.  ``stabilize`` chains such moves until every
-cross precedes every movable core symbol, and reads the result off the input.
-For t=1 with a core symbol at zero and a cross anywhere, the first ``x``/``o``
-after the zero core's run (positions 1..j) comes to 0 by the moves j, ..., 0:
-a cross joins the stack under ``+``, an empty leaves ``-`` on a non-empty
-stack.  Then each ``x``/``o`` from the first core symbol past 0 to the last
-cross moves in front of the core symbols before it; each kind keeps its order.
+symbol slides out from under the stack, position 1 folds into the zero
+position as the :mod:`ospds.diagram` docstring describes, and the core symbol
+stands first in the tail: ``x^i/> x f -> +x^(i+1) > f``.  ``stabilize`` chains
+such moves until every cross precedes every movable core symbol, and reads
+the result off the input.  For t=1 with a core symbol at zero and a cross
+anywhere, the first ``x``/``o`` after the zero core's run (positions 1..j)
+comes to 0 by the moves j, ..., 0 and folds into the zero position.  Then
+each ``x``/``o`` from the first core symbol past 0 to the last cross moves in
+front of the core symbols before it; each kind keeps its order.
 """
 
 from __future__ import annotations
 
 from .diagram import (CROSS, EMPTY, CORE_SYMBOLS, GT, LT, DomainError,
-                      WeightDiagram, check_valid, fmt)
+                      WeightDiagram, _fold, _unfold, check_valid, fmt)
 
 
 def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
@@ -44,25 +41,18 @@ def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
 def _swap_zero(d: WeightDiagram) -> WeightDiagram:
     if d.t != 1:
         raise DomainError("the zero move exists for t=1 only")
-    i = d.zero_crosses
     if d.zero_core is not None:
         # forward: the core symbol leaves the zero position
-        c = d.zero_core
         if d.sym(1) in CORE_SYMBOLS:
             raise DomainError("position 1 already holds a core symbol")
-        if d.sym(1) == CROSS:
-            return WeightDiagram(1, i + 1, None, c + d.tail_symbols[1:], "+")
-        return WeightDiagram(1, i, None, c + d.tail_symbols[1:], "-" if i else None)
+        stack, rest, sign = _fold(d.zero_crosses, d.tail_symbols)
+        return WeightDiagram(1, stack, None, d.zero_core + rest, sign)
     # backward: a core symbol at position 1 returns under the stack
     c = d.sym(1)
     if c not in CORE_SYMBOLS:
         raise DomainError("move undefined at 0: no core symbol at position 0 or 1")
-    rest = d.tail_symbols[1:]
-    if d.sign == "+":
-        if i < 1:
-            raise DomainError("'+' sign requires a non-empty zero stack")
-        return WeightDiagram(1, i - 1, c, CROSS + rest)
-    return WeightDiagram(1, i, c, EMPTY + rest)
+    stack, tail = _unfold(d.zero_crosses, d.tail_symbols[1:], d.sign)
+    return WeightDiagram(1, stack, c, tail)
 
 
 # the most moves :func:`stabilize` lists: they number (core symbols) x
@@ -84,11 +74,8 @@ def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
         # the first x/o after the zero core's run passes the run and the core
         j = len(tail) - len(tail.lstrip(GT + LT))
         steps.append((j, j + 1))
-        if tail[j:j + 1] == CROSS:
-            stack, sign = stack + 1, "+"
-        else:
-            sign = "-" if stack else None
-        tail, zero_core = zero_core + tail[:j] + tail[j + 1:], None
+        stack, rest, sign = _fold(stack, tail[j:])
+        tail, zero_core = zero_core + tail[:j] + rest, None
     # each x/o from the first core symbol to the last cross passes the core
     # symbols before it
     last = tail.rfind(CROSS)

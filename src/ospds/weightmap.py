@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import (CROSS, GT, LT, MAX_WIDTH, DomainError, ParseError,
-                      WeightDiagram, atypicality, build, check_valid, fmt)
+                      WeightDiagram, _check_counts, build, check_valid)
 
 Q = Fraction
 
@@ -71,8 +71,6 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
     shift = Q(1, 2) if w.series == "B" else Q(0)
     acoord = [abs(x) - shift for x in w.a]
     bcoord = [abs(x) - shift for x in w.b]
-    if any(c < 0 or c.denominator != 1 for c in acoord + bcoord):
-        raise DomainError("coordinates must land on non-negative integers")
     if any(c > MAX_WIDTH for c in acoord + bcoord):
         raise DomainError(f"coordinate above the cap MAX_WIDTH = {MAX_WIDTH}")
     gts: dict[int, int] = {}
@@ -136,12 +134,7 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
 
 def diagram_to_weight(d: WeightDiagram, m: int, n: int) -> DominantWeight:
     """Inverse of :func:`weight_to_diagram` for consistent ``(m, n)``."""
-    check_valid(d)
-    k = atypicality(d)
-    want_gt = m + 1 - k if d.t == 2 else m - k
-    if d.count(GT) != want_gt or d.count(LT) != n - k:
-        raise DomainError(f"count mismatch: {fmt(d)!r} does not describe a weight "
-                          f"with m={m}, n={n}")
+    _check_counts(d, m, n)
     series = "B" if d.t == 1 else "D"
     shift = Q(1, 2) if series == "B" else Q(0)
     a: list[Fraction] = []

@@ -178,6 +178,16 @@ class TestWeightInput:
         code, _, err = run("parse", "B 1 1 / 1/2")
         assert code == 1 and err.startswith("error: expected")
 
+    @pytest.mark.parametrize("text,why", [
+        ("D 1 0 / 1/2 / -", "even-series coefficients must be integers"),
+        ("B 1 0 / 1 / -", "epsilon coefficients must be half-integers >= -1/2"),
+    ])
+    def test_coordinates_off_the_integers_are_refused_by_the_shape_check(
+            self, run, text, why):
+        # the shape check is the only guard that a coordinate lands on a
+        # non-negative integer position
+        assert run("parse", text) == (1, "", f"error: {why}\n")
+
 
 # up to 10 characters, so that digit runs reach 9-digit coordinates, which
 # the width cap refuses before any diagram is built

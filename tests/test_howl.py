@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from ospds.diagram import (DomainError, atypicality, core_of,
                            enumerate_corefree, fmt, is_stable, tail_length,
@@ -67,6 +67,12 @@ class TestHowl:
                         want = howl(f)
                         assert skeleton.zero_crosses == want.zero_crosses
                         assert skeleton.cross_positions() == want.cross_positions()
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=diagrams())
+    def test_tail_preserved_on_random_cored_diagrams(self, d):
+        assume(not d.is_core_free())
+        assert tail_length(howl(d)) == tail_length(d)
 
     def test_core_free_diagram_is_returned_as_it_is(self, corefree_pool):
         for d in corefree_pool:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from ospds.diagram import (EMPTY, atypicality, core_of, enumerate_corefree,
                            fmt, sigma, validate)
 from ospds.ds import ZERO, GradedMult, ds1
-from ospds.howl import UnhowlError, howl, unhowl
+from ospds.howl import UnhowlError, howl, tau, unhowl
 from ospds.oracle import Step, oracle_mult1
 from conftest import P, diagrams
 
@@ -62,6 +62,19 @@ class TestConsistency:
             assert oracle_mult1(lam, nu) == g, (fmt(lam), fmt(nu))
         for nu in _erased_lifts(lam) - dec.components.keys():
             assert oracle_mult1(lam, nu) == ZERO, (fmt(lam), fmt(nu))
+
+    def test_commutes_with_tau(self):
+        # the type-2 route drops the zero '>' by folding position 1 into the
+        # stack, as tau does; both routes must give the same numbers
+        by_k = [enumerate_corefree(2, k, 7) for k in range(5)]
+        pairs = 0
+        for k in range(1, 5):
+            for lam in by_k[k]:
+                for nu in by_k[k - 1]:
+                    assert oracle_mult1(lam, nu) == oracle_mult1(tau(lam), tau(nu)), \
+                        (fmt(lam), fmt(nu))
+                    pairs += 1
+        assert pairs == 3479
 
     def test_sigma_equivariant(self):
         for t in (0, 1):

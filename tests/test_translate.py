@@ -39,6 +39,32 @@ class TestTransSwap:
             d = P(src, 1)
             assert trans_swap(trans_swap(d, 0), 0) == d
 
+    def test_zero_move_round_trips_on_every_zero_cored_lift(self, small_cores,
+                                                           corefree_pool):
+        # the forward move folds position 1 into the zero stack, the
+        # backward move unfolds it
+        seen = 0
+        for g in small_cores[1]:
+            if g.zero_core is None:
+                continue
+            for h in corefree_pool:
+                if h.t != 1:
+                    continue
+                try:
+                    lifts = unhowl(g, h)
+                except UnhowlError:
+                    continue
+                for d in lifts:
+                    if d.sym(1) in "<>":
+                        with pytest.raises(DomainError):
+                            trans_swap(d, 0)
+                        continue
+                    moved = trans_swap(d, 0)
+                    assert moved.zero_core is None and moved.sym(1) == d.zero_core
+                    assert trans_swap(moved, 0) == d, fmt(d)
+                    seen += 1
+        assert seen > 100
+
     def test_offzero_move_is_invertible(self):
         for src, t in (("x>x", 0), ("+o>x", 0), (">x<x", 2), ("<ox", 1)):
             d = P(src, t)
