@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, build,
-                      check_valid, fmt)
+from .diagram import CROSS, EMPTY, GT, DomainError, WeightDiagram, check_valid, fmt
 from .howl import howl
 
 
@@ -262,13 +261,15 @@ def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
     stack = h.zero_crosses
     sign = "+" if series == "D" else h.sign
     keep = 1 if sign == "+" and stack > 0 else 0
-    recast = (WeightDiagram(1, stack, None, h.tail_symbols, sign) if keep
-              else WeightDiagram(2, stack, GT, h.tail_symbols))
+    recast = (WeightDiagram._trusted(1, stack, None, h.tail_symbols, sign) if keep
+              else WeightDiagram._trusted(2, stack, GT, h.tail_symbols, None))
     arcs = _build_arcs(recast).arcs
     cups = sorted((a.support, a.reach) if len(a.ends) == 1 else a.ends for a in arcs)
     dotted = frozenset(a.ends[0] for a in arcs if len(a.ends) == 2)
-    base = build(1, keep, None, {a: CROSS for a, _ in cups if a > 0},
-                 sign if keep else None)
+    supports = {a for a, _ in cups}
+    tail = "".join(CROSS if p in supports else EMPTY
+                   for p in range(1, max(supports, default=0) + 1))
+    base = WeightDiagram._trusted(1, keep, None, tail, sign if keep else None)
     return DottedArcs(base, tuple(cups), dotted)
 
 

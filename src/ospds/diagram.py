@@ -38,9 +38,10 @@ symbol names :data:`GT`, :data:`LT`, :data:`CROSS`, :data:`EMPTY` are those
 characters.  :func:`parse` refuses a zero stack or a width above
 :data:`MAX_WIDTH`.
 
-The public constructor checks the shape of every field.  The library builds
-its own diagrams from checked fields through ``WeightDiagram._trusted``,
-which skips that check; it is not for diagrams made from input.
+The public constructor checks shape (``int`` fields, known symbols),
+:func:`validate` the block rules above, and :func:`_needs_sign` is the one
+sign rule.  Diagrams the library derives from valid ones are built through
+``WeightDiagram._trusted``, which skips the shape check; never for input.
 """
 
 from __future__ import annotations
@@ -82,10 +83,11 @@ class WeightDiagram:
     sign: str | None = None
 
     def __post_init__(self):
-        if self.t not in (0, 1, 2):
+        # type(), not isinstance(): True and 1.0 are no block type or stack
+        if type(self.t) is not int or self.t not in (0, 1, 2):
             raise DomainError(f"block type must be 0, 1 or 2, got {self.t!r}")
-        if self.zero_crosses < 0:
-            raise DomainError("zero_crosses must be non-negative")
+        if type(self.zero_crosses) is not int or self.zero_crosses < 0:
+            raise DomainError(f"zero_crosses must be an int >= 0, got {self.zero_crosses!r}")
         if self.zero_core is not None and self.zero_core not in CORE_SYMBOLS:
             raise DomainError("zero_core must be '>' or '<'")
         if self.sign not in (None, "+", "-"):
@@ -93,9 +95,13 @@ class WeightDiagram:
         tail = self.tail_symbols
         if not isinstance(tail, str):
             tail = "".join(tail)
+        bad = tail.lstrip("ox><")
+        if bad:
+            raise DomainError(f"bad symbol {bad[0]!r} (positions past 0 take o, x, >, <)")
         object.__setattr__(self, "tail_symbols", tail.rstrip(EMPTY))
         # the completely empty diagram is canonically unsigned
-        if self.sign is not None and not self.has_symbols:
+        if self.sign is not None and not (self.zero_crosses or self.zero_core
+                                          or self.tail_symbols):
             object.__setattr__(self, "sign", None)
 
     @classmethod
@@ -115,10 +121,6 @@ class WeightDiagram:
     @property
     def width(self) -> int:
         return 1 + len(self.tail_symbols)
-
-    @property
-    def has_symbols(self) -> bool:
-        return bool(self.zero_crosses or self.zero_core or self.tail_symbols)
 
     def sym(self, p: int) -> str:
         """The symbol at positive position ``p`` (EMPTY beyond the support)."""
@@ -154,13 +156,6 @@ class WeightDiagram:
             raise DomainError(f"sign must be '+', '-' or None, got {sign!r}")
         return WeightDiagram._trusted(self.t, self.zero_crosses, self.zero_core,
                                       self.tail_symbols, sign)
-
-    def set_positions(self, updates: dict[int, str]) -> "WeightDiagram":
-        """Copy with the given positive positions overwritten."""
-        tail = list(self.tail_symbols.ljust(max(updates, default=0), EMPTY))
-        for p, s in updates.items():
-            tail[p - 1] = s
-        return self.with_tail(tail)
 
     def is_core_free(self) -> bool:
         """True when the core consists of nothing but the obligatory zero ``>``."""
@@ -256,33 +251,36 @@ def fmt(d: WeightDiagram) -> str:
 
 # -- validation --------------------------------------------------------------
 
+_SIGN_MISSING = {0: "t=0 diagram with empty zero position must carry a sign",
+                 1: "t=1 diagram with a bare zero stack must carry a sign"}
+_SIGN_PRESENT = {0: "sign present but the zero position is occupied",
+                 1: "sign present but the zero position is not a bare stack",
+                 2: "t=2 diagrams carry no sign"}
+
+
+def _needs_sign(t: int, stack: int, zero_core: str | None, tail: str) -> bool:
+    """The sign rule: t=1 signs a bare non-empty zero stack, t=0 an empty
+    zero position in a diagram with a ``>`` or a cross, t=2 nothing."""
+    if t == 1:
+        return stack > 0 and zero_core is None
+    return t == 0 and not stack and zero_core is None and (GT in tail or CROSS in tail)
+
+
 def validate(d: WeightDiagram) -> list[str]:
     """Return the list of broken well-formedness rules (empty when valid)."""
     bad: list[str] = []
-    if d.t == 2:
-        if d.zero_core != GT:
-            bad.append("t=2 requires '>' at the zero position")
-        if d.sign is not None:
-            bad.append("t=2 diagrams carry no sign")
-    elif d.t == 0:
-        gt, cross = d.count(GT), d.count(CROSS)
-        if d.zero_core == GT:
-            bad.append("'>' at the zero position makes the diagram type 2, not 0")
-        if d.zero_core == LT and (gt or cross):
-            bad.append("t=0 forbids '<' at the zero position unless the diagram "
-                       "has no '>' and no 'x' at all")
-        zero_empty = d.zero_crosses == 0 and d.zero_core is None
-        needs_sign = zero_empty and (gt + cross) >= 1
-        if needs_sign and d.sign is None:
-            bad.append("t=0 diagram with empty zero position must carry a sign")
-        if not needs_sign and d.sign is not None:
-            bad.append("sign present but the zero position is occupied")
-    else:  # t == 1
-        needs_sign = d.zero_crosses >= 1 and d.zero_core is None
-        if needs_sign and d.sign is None:
-            bad.append("t=1 diagram with a bare zero stack must carry a sign")
-        if not needs_sign and d.sign is not None:
-            bad.append("sign present but the zero position is not a bare stack")
+    if d.t == 2 and d.zero_core != GT:
+        bad.append("t=2 requires '>' at the zero position")
+    if d.t == 0 and d.zero_core == GT:
+        bad.append("'>' at the zero position makes the diagram type 2, not 0")
+    if d.t == 0 and d.zero_core == LT and (d.count(GT) or d.count(CROSS)):
+        bad.append("t=0 forbids '<' at the zero position unless the diagram "
+                   "has no '>' and no 'x' at all")
+    needs_sign = _needs_sign(d.t, d.zero_crosses, d.zero_core, d.tail_symbols)
+    if needs_sign and d.sign is None:
+        bad.append(_SIGN_MISSING[d.t])
+    if not needs_sign and d.sign is not None:
+        bad.append(_SIGN_PRESENT[d.t])
     return bad
 
 
@@ -323,13 +321,10 @@ def _unfold(stack: int, tail: str, sign: str | None) -> tuple[int, str]:
 # -- elementary statistics ----------------------------------------------------
 
 def core_of(d: WeightDiagram) -> WeightDiagram:
-    """Erase every cross.  For t=0 the result gains a ``+`` sign when its zero
-    position is empty and it still contains a ``>`` (the canonical signless
-    empty diagram stays signless)."""
+    """Erase every cross; the result is signed ``+`` when it needs a sign (for
+    t=0, when its zero position is empty and it still holds a ``>``)."""
     tail = d.tail_symbols.replace(CROSS, EMPTY)
-    sign = None
-    if d.t == 0 and d.zero_core is None and GT in tail:
-        sign = "+"
+    sign = "+" if _needs_sign(d.t, 0, d.zero_core, tail) else None
     return WeightDiagram._trusted(d.t, 0, d.zero_core, tail, sign)
 
 
@@ -394,15 +389,11 @@ def _iter_corefree(t: int, k: int, width: int):
     """The diagrams of :func:`enumerate_corefree`, one at a time."""
     if width < k:
         raise DomainError("width must be at least k")
+    WeightDiagram(t)  # refuses a bad block type
     zero_core = GT if t == 2 else None
     for s in range(k, -1, -1):
         for pos in combinations(range(1, width), k - s):
-            body = build(t, s, zero_core, {p: CROSS for p in pos})
-            if t == 1 and s >= 1:
-                signs = ["-", "+"]
-            elif t == 0 and s == 0 and k >= 1:
-                signs = ["-", "+"]
-            else:
-                signs = [None]
+            tail = "".join(EMPTY * (p - q - 1) + CROSS for q, p in zip((0,) + pos, pos))
+            signs = ("-", "+") if _needs_sign(t, s, zero_core, tail) else (None,)
             for sg in signs:
-                yield body.with_sign(sg)
+                yield WeightDiagram._trusted(t, s, zero_core, tail, sg)

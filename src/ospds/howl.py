@@ -100,7 +100,7 @@ def tau(h: WeightDiagram) -> WeightDiagram:
     if h.t != 2 or not h.is_core_free():
         raise DomainError("tau expects a core-free t=2 diagram")
     stack, tail, sign = _fold(h.zero_crosses, h.tail_symbols)
-    return WeightDiagram(1, stack, None, tail, sign)
+    return WeightDiagram._trusted(1, stack, None, tail, sign)
 
 
 def tau_inv(h: WeightDiagram) -> WeightDiagram:
@@ -109,4 +109,4 @@ def tau_inv(h: WeightDiagram) -> WeightDiagram:
     if h.t != 1 or not h.is_core_free():
         raise DomainError("tau_inv expects a core-free t=1 diagram")
     stack, tail = _unfold(h.zero_crosses, h.tail_symbols, h.sign)
-    return WeightDiagram(2, stack, GT, tail)
+    return WeightDiagram._trusted(2, stack, GT, tail, None)

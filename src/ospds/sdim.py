@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .diagram import CROSS, GT, LT, DomainError, WeightDiagram, _check_counts
+from .diagram import GT, DomainError, WeightDiagram, _check_counts
 from .ds import _dsr
 
 
@@ -57,16 +57,14 @@ def weyl_dim_so(N: int, hw) -> int:
         raise DomainError("even so weights need hw[r-2] >= |hw[r-1]|")
     if any((2 * x).denominator != 1 for x in hw):
         raise DomainError("weight coordinates must be integers or half-integers")
+    if len({x.denominator for x in hw}) > 1:
+        raise DomainError("weight coordinates must be all integers or all half-integers")
     rho = range(2 * r - 2 + N % 2, -1, -2)  # doubled, as in _dim_from_shifted
     return _dim_from_shifted(N, [int(2 * x) + y for x, y in zip(hw, rho)])
 
 
 def _component_dim(nu: WeightDiagram) -> int:
-    """Ordinary so-dimension of a crossless component diagram."""
-    if nu.count(CROSS):
-        raise DomainError("component still has crosses")
-    if nu.count(LT):
-        raise DomainError("component keeps odd directions; dimension is not so-like")
+    """Ordinary so-dimension of a component diagram with no cross and no ``<``."""
     positions = sorted((p for p, s in enumerate(nu.tail_symbols, 1) if s == GT),
                        reverse=True)
     if nu.zero_core == GT:

@@ -35,7 +35,9 @@ def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
     if (sa in CORE_SYMBOLS) == (sb in CORE_SYMBOLS):
         raise DomainError(f"move undefined at {a}: need exactly one core symbol "
                           f"among positions {a}, {a + 1} of {fmt(d)!r}")
-    return d.set_positions({a: sb, a + 1: sa})
+    tail = d.tail_symbols.ljust(a + 1, EMPTY)
+    return WeightDiagram._trusted(d.t, d.zero_crosses, d.zero_core,
+                                  tail[:a - 1] + sb + sa + tail[a + 1:], d.sign)
 
 
 def _swap_zero(d: WeightDiagram) -> WeightDiagram:
@@ -46,13 +48,13 @@ def _swap_zero(d: WeightDiagram) -> WeightDiagram:
         if d.sym(1) in CORE_SYMBOLS:
             raise DomainError("position 1 already holds a core symbol")
         stack, rest, sign = _fold(d.zero_crosses, d.tail_symbols)
-        return WeightDiagram(1, stack, None, d.zero_core + rest, sign)
+        return WeightDiagram._trusted(1, stack, None, d.zero_core + rest, sign)
     # backward: a core symbol at position 1 returns under the stack
     c = d.sym(1)
     if c not in CORE_SYMBOLS:
         raise DomainError("move undefined at 0: no core symbol at position 0 or 1")
     stack, tail = _unfold(d.zero_crosses, d.tail_symbols[1:], d.sign)
-    return WeightDiagram(1, stack, c, tail)
+    return WeightDiagram._trusted(1, stack, c, tail, None)
 
 
 # the most moves :func:`stabilize` lists: they number (core symbols) x
@@ -92,7 +94,7 @@ def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
     moves = [p for i, c in steps for p in range(i, i - c, -1)]
     tail = (tail[:first] + region.translate(_DROP_CORE)
             + region.translate(_DROP_NON_CORE) + tail[last + 1:])
-    return WeightDiagram(d.t, stack, zero_core, tail, sign), moves
+    return WeightDiagram._trusted(d.t, stack, zero_core, tail, sign), moves
 
 
 def shrink(d: WeightDiagram, u: int) -> WeightDiagram:

@@ -118,15 +118,10 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
             sign = "+" if w.a[-1] > 0 else "-"
     else:
         t = 1
-        plus_half = sum(1 for x in w.a if x == Q(1, 2))
-        minus_half = sum(1 for x in w.a if x == Q(-1, 2))
-        if plus_half > 1:
-            raise DomainError("not dominant: two epsilon coefficients equal +1/2")
-        if zero_core == GT and plus_half == 0:
+        plus_half = Q(1, 2) in w.a
+        if zero_core == GT and not plus_half:
             raise DomainError("not dominant: an unpaired zero '>' needs an "
                               "epsilon coefficient +1/2")
-        if minus_half > stack:
-            raise DomainError("not dominant: a -1/2 epsilon coefficient is unmatched")
         if stack and zero_core is None:
             sign = "+" if plus_half else "-"
     return check_valid(build(t, stack, zero_core, positions, sign))

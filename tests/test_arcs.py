@@ -164,7 +164,8 @@ class TestOrder:
                                          h.sign if h.t == 1 and h.zero_crosses > 1
                                          else None)
                 else:
-                    base = h.set_positions({arc.support: EMPTY})
+                    p = arc.support
+                    base = h.with_tail(h.tail_symbols[:p - 1] + EMPTY + h.tail_symbols[p:])
                 if base.t == 0 and base.zero_crosses == 0 and base.sign is None \
                         and base.count(CROSS) >= 1:
                     base = base.with_sign("+")
@@ -347,3 +348,12 @@ def _dotted_matches_the_reference(d, series):
     got, want = es_dotted(d, series), reference.es_dotted(d, series)
     assert (got.base, got.arcs, got.dotted) == (want.base, want.arcs, want.dotted), \
         (fmt(d), series)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: es_dotted(P("+x^3x", 1), "C"), "series must be 'B' or 'D'",
+                 id="series C"),
+])
+def test_public_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

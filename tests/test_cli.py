@@ -203,6 +203,39 @@ def test_weight_fuzz_never_raises(head, a, b):
     assert main(["parse", text]) in (0, 1, 2)
 
 
+# paths no other test pins: plain-text es, --osp above rank 1, and each
+# validate message
+_UNPINNED = [
+    (["es", "+x^3x", "--t", "1", "--series", "B"], 0,
+     "+xxooxox\narc(0;3)\narc(1;2)\narc(4;5) dotted\narc(6;7) dotted\n", ""),
+    (["ds", "+xoox", "--t", "1", "--osp", "--rank", "2"], 2, "",
+     "error: --osp computes the rank-1 reduction\n"),
+    (["validate", "ox", "--t", "2"], 1,
+     "violation: t=2 requires '>' at the zero position\n", ""),
+    (["validate", "+>x", "--t", "2"], 1, "violation: t=2 diagrams carry no sign\n", ""),
+    (["validate", "+x", "--t", "2"], 1, "violation: t=2 requires '>' at the zero position\n"
+     "violation: t=2 diagrams carry no sign\n", ""),
+    (["validate", ">x", "--t", "0"], 1,
+     "violation: '>' at the zero position makes the diagram type 2, not 0\n", ""),
+    (["validate", "<x", "--t", "0"], 1, "violation: t=0 forbids '<' at the zero position "
+     "unless the diagram has no '>' and no 'x' at all\n", ""),
+    (["validate", "o>x", "--t", "0"], 1,
+     "violation: t=0 diagram with empty zero position must carry a sign\n", ""),
+    (["validate", "+x", "--t", "0"], 1,
+     "violation: sign present but the zero position is occupied\n", ""),
+    (["validate", "x", "--t", "1"], 1,
+     "violation: t=1 diagram with a bare zero stack must carry a sign\n", ""),
+    (["validate", "+>", "--t", "1"], 1,
+     "violation: sign present but the zero position is not a bare stack\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _UNPINNED,
+                         ids=[" ".join(case[0]) for case in _UNPINNED])
+def test_unpinned_paths(run, argv, code, out, err):
+    assert run(*argv) == (code, out, err)
+
+
 @pytest.mark.parametrize("entry", PINNED, ids=lambda e: " ".join(e["argv"]))
 def test_pinned_output(run, entry):
     """The outputs the benchmark pins stay byte-identical."""

@@ -230,3 +230,33 @@ def test_parse_format_round_trip_random(data, ):
             pool.extend(enumerate_corefree(t, k, 7))
     d = data.draw(st.sampled_from(pool))
     assert parse(fmt(d), d.t) == d
+
+
+# each public check with the message it gives; no other test reaches these
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: WeightDiagram(3), "block type must be 0, 1 or 2, got 3", id="t=3"),
+    pytest.param(lambda: WeightDiagram(True, 0, None, "x", "-"), "got True", id="t=True"),
+    pytest.param(lambda: WeightDiagram(1.0, 0, None, "x"), "got 1.0", id="t=1.0"),
+    pytest.param(lambda: WeightDiagram(1, -1), "zero_crosses must be an int >= 0",
+                 id="stack=-1"),
+    pytest.param(lambda: WeightDiagram(1, 1.5, None, "x", "+"), "got 1.5", id="stack=1.5"),
+    pytest.param(lambda: WeightDiagram(1, 0, "x"), "zero_core must be '>' or '<'",
+                 id="zero_core"),
+    pytest.param(lambda: WeightDiagram(1, 1, None, "", "*"), "sign must be", id="sign"),
+    pytest.param(lambda: WeightDiagram(1, 0, None, "xab"), "bad symbol 'a'", id="tail"),
+    pytest.param(lambda: WeightDiagram(1, 0, None, ["x", "*"]), "bad symbol '\\*'",
+                 id="list tail"),
+    pytest.param(lambda: P("ox", 1).sym(0), "positive positions only", id="sym(0)"),
+    pytest.param(lambda: build(1, 0, None, {0: CROSS}), "positions must be >= 1",
+                 id="build at 0"),
+    pytest.param(lambda: pari(P(">x", 1)), "core-free", id="pari of a core"),
+    pytest.param(lambda: enumerate_corefree(3, 1, 4), "block type", id="enumerate t=3"),
+])
+def test_public_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_tuple_and_list_tails_are_joined():
+    assert WeightDiagram(1, 1, None, ("x", "o", "x"), "+") == P("+xxox", 1)
+    assert WeightDiagram(0, 0, None, ["x", "o"], "-") == P("-ox", 0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 import reference
 from ospds import ds as ds_module
-from ospds.diagram import (WeightDiagram, atypicality, core_of,
+from ospds.diagram import (DomainError, WeightDiagram, atypicality, core_of,
                            enumerate_corefree, fmt, is_stable, sigma, validate)
 from ospds.ds import Decomposition, GradedMult, check_purity, ds1, ds_osp, dsr
 from ospds.howl import UnhowlError, howl, tau, unhowl
@@ -308,3 +308,11 @@ class TestOsp:
     def test_odd_series_matches_plain_reduction(self):
         lam = P("+xoox", 1)
         assert ds_osp(lam).components == ds1(lam).components
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: dsr(P("+xoox", 1), -1), "rank must be non-negative", id="rank -1"),
+])
+def test_public_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -117,7 +117,7 @@ class TestUnhowl:
                         assert len(lifts) in (1, 2)
                         if len(lifts) == 2:
                             doubles += 1
-                            assert t == 0 and not h.has_symbols
+                            assert t == 0 and h == P("o", 0)
                         for f in lifts:
                             assert validate(f) == []
                             assert howl(f) == h
@@ -177,3 +177,11 @@ class TestTau:
             tau(P("ox", 1))
         with pytest.raises(DomainError):
             tau_inv(P(">x", 2))
+
+
+@pytest.mark.parametrize("g, h, message", [
+    pytest.param(P(">", 1), P(">x", 1), "second argument must be core-free", id="cored h"),
+])
+def test_public_checks_refuse(g, h, message):
+    with pytest.raises(UnhowlError, match=message):
+        unhowl(g, h)

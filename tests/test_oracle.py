@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ospds.diagram import (EMPTY, atypicality, core_of, enumerate_corefree,
+from ospds.diagram import (EMPTY, DomainError, atypicality, core_of, enumerate_corefree,
                            fmt, sigma, validate)
 from ospds.ds import ZERO, GradedMult, ds1
 from ospds.howl import UnhowlError, howl, tau, unhowl
@@ -166,7 +166,7 @@ def _erased_lifts(lam):
     h, core = howl(lam), core_of(lam)
     out = set()
     for p in h.cross_positions():
-        bare = h.set_positions({p: EMPTY})
+        bare = h.with_tail(h.tail_symbols[:p - 1] + EMPTY + h.tail_symbols[p:])
         for sign in (None, "+", "-"):
             if not validate(bare.with_sign(sign)):
                 try:
@@ -174,3 +174,12 @@ def _erased_lifts(lam):
                 except UnhowlError:
                     pass
     return out
+
+
+@pytest.mark.parametrize("lam, nu", [
+    pytest.param(P("+xoox", 1), P("+ox", 0), id="t=1 against t=0"),
+    pytest.param(P("x/>", 2), P("-x", 1), id="t=2 against t=1"),
+])
+def test_types_must_agree(lam, nu):
+    with pytest.raises(DomainError, match="share the block type"):
+        oracle_mult1(lam, nu)

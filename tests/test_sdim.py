@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospds.diagram import GT, LT, DomainError, atypicality, enumerate_corefree
-from ospds.ds import ds1
-from ospds.howl import unhowl
+from ospds import ds
+from ospds.howl import UnhowlError, unhowl
 from ospds.sdim import (_component_dim, _dim_from_shifted, superdimension,
                         weyl_dim_so)
 from conftest import P, diagrams
@@ -37,6 +38,35 @@ class TestWeylDim:
             weyl_dim_so(5, [0, 1])
         with pytest.raises(DomainError):
             weyl_dim_so(4, [1])
+
+    @pytest.mark.parametrize("N, hw, message", [
+        pytest.param(-1, [], "N must be non-negative", id="N<0"),
+        pytest.param(5, [1, -1], "odd so weights are non-negative", id="negative odd"),
+        pytest.param(6, [2, 1, -2], r"hw\[r-2\] >= \|hw\[r-1\]\|", id="even rule"),
+        pytest.param(3, [Q(1, 3)], "integers or half-integers", id="one third"),
+    ])
+    def test_public_checks_refuse(self, N, hw, message):
+        with pytest.raises(DomainError, match=message):
+            weyl_dim_so(N, hw)
+
+    def test_rejects_mixed_coordinates(self):
+        # a mix of integers and half-integers is no so_N weight; 32 dominant
+        # ones in this range have a Weyl quotient that happens to divide
+        divides = 0
+        for N in range(4, 8):
+            rho = range(2 * (N // 2) - 2 + N % 2, -1, -2)
+            for xs in itertools.combinations_with_replacement(range(12, -13, -1), N // 2):
+                dominant = xs[-1] >= 0 if N % 2 else xs[-2] >= abs(xs[-1])
+                if not dominant or len({x % 2 for x in xs}) < 2:
+                    continue
+                try:
+                    _dim_from_shifted(N, [x + y for x, y in zip(xs, rho)])
+                    divides += 1
+                except DomainError:
+                    pass
+                with pytest.raises(DomainError, match="all integers or all half-integers"):
+                    weyl_dim_so(N, [Q(x, 2) for x in xs])
+        assert divides == 32
 
     # doubled rho-shifted weights: sorted draws of one parity are mostly
     # dominant, the others singular, out of order or of mixed parity, on
@@ -85,15 +115,27 @@ class TestSuperdimension:
         tail2 = ("x/>o" + "oox" * (m - 1)) if m > 1 else "x/>"
         assert abs(superdimension(P(tail2, 2), m, m)) == expected
 
-    def test_conserved_through_one_step(self, corefree_pool):
-        for lam in corefree_pool:
-            k = atypicality(lam)
-            if k == 0 or lam.width > 7:
-                continue
+    def test_conserved_through_one_step(self, corefree_pool, small_cores):
+        # at every rank r from 0 to k, on the core-free pool (width 8, k <= 4)
+        # and on lifts into the small cores
+        lifts = []
+        for t, cores in small_cores.items():
+            for g, k in itertools.product(cores, range(1, 4)):
+                for h in enumerate_corefree(t, k, 5):
+                    try:
+                        lifts += unhowl(g, h)
+                    except UnhowlError:
+                        pass
+        checks = 0
+        for lam in corefree_pool + lifts:
             m, n = _mn(lam)
-            total = sum((g.d0 - g.d1) * superdimension(nu, m - 1, n - 1)
-                        for nu, g in ds1(lam).components.items())
-            assert superdimension(lam, m, n) == total
+            whole = superdimension(lam, m, n)
+            for r in range(atypicality(lam) + 1):
+                total = sum((g.d0 - g.d1) * superdimension(nu, m - r, n - r)
+                            for nu, g in ds.dsr(lam, r).components.items())
+                assert total == whole, (str(lam), r)
+                checks += 1
+        assert checks > 5000
 
     def test_sign_invariance(self):
         for k in (1, 2, 3):

@@ -143,3 +143,17 @@ class TestShrinkPhi:
         widened = small.with_tail(small.tail_symbols[:u - 1] + CROSS + EMPTY
                                   + small.tail_symbols[u - 1:])
         assert widened == d
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: trans_swap(P(">x", 1), -1), "positions are non-negative",
+                 id="swap at -1"),
+    pytest.param(lambda: trans_swap(P("x/>x", 2), 0), "the zero move exists for t=1 only",
+                 id="zero move at t=2"),
+    pytest.param(lambda: trans_swap(P("+o>x", 0), 0), "the zero move exists for t=1 only",
+                 id="zero move at t=0"),
+    pytest.param(lambda: shrink(P("-x^2oxoox", 1), 0), "shrink needs u >= 1", id="shrink at 0"),
+])
+def test_public_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

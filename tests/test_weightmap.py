@@ -53,8 +53,8 @@ class TestWeightToDiagram:
         D(2, 0, [1, -1], []),          # colliding coordinates
         D(2, 0, [1, 1], []),           # tie away from zero
         D(1, 1, [Q(1, 2)], [1]),       # not an integer
-        B(1, 1, [Q(-1, 2)], [Q(5, 2)]),  # unmatched -1/2 coordinate
-        B(2, 1, [Q(1, 2), Q(1, 2)], [Q(1, 2)]),  # two +1/2 coordinates
+        B(1, 1, [Q(-1, 2)], [Q(5, 2)]),  # unpaired zero '>' without +1/2
+        B(2, 1, [Q(1, 2), Q(1, 2)], [Q(1, 2)]),  # tie away from -1/2
     ])
     def test_rejects_non_dominant(self, bad):
         with pytest.raises(DomainError):
@@ -121,3 +121,23 @@ class TestParseWeight:
     def test_bad_header(self):
         with pytest.raises(DomainError):
             parse_weight("E 1 1 / 1 / 1")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: DominantWeight("B", 1, 1, (), ()), "lengths m and n", id="lengths"),
+    pytest.param(lambda: weight_to_diagram(D(1, 0, [10_001], [])),
+                 "coordinate above the cap", id="coordinate cap"),
+    pytest.param(lambda: weight_to_diagram(D(10_001, 10_001, [0] * 10_001, [0] * 10_001)),
+                 "zero stack above the cap", id="stack cap"),
+    pytest.param(lambda: weight_to_diagram(D(2, 0, [0, 0], [])),
+                 "too many coordinates at the zero position", id="zero position"),
+    pytest.param(lambda: weight_to_diagram(D(1, 1, [1], [0])),
+                 "'<' at the zero position needs m = 0", id="zero '<' with m > 0"),
+    pytest.param(lambda: weight_to_diagram(B(0, 1, [], [1])),
+                 "delta coefficients must be half-integers", id="integer delta"),
+    pytest.param(lambda: weight_to_diagram(D(0, 1, [], [-1])),
+                 "coefficients must be non-negative", id="negative D coefficient"),
+])
+def test_public_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
