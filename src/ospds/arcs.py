@@ -25,9 +25,11 @@ tightness test of :mod:`ospds.ds`.  The sweep builds every arc only when
 asked to; they are stored zero-stack arcs first, innermost first, then by
 support.
 
-Removing arcs leaves an even-series diagram unsigned: when its zero
-position is bare, the unsigned diagram stands for both of its signings,
-which :func:`ospds.howl._unhowl` builds.
+:func:`remove_arc` leaves an even-series diagram unsigned: when its zero
+position is bare, the unsigned diagram stands for both of its signings.  The
+reduction of :mod:`ospds.ds` reads only the arcs off the compacted diagram:
+it erases their crosses in the block's own diagram and signs each component
+by the one sign rule.
 """
 
 from __future__ import annotations

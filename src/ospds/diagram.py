@@ -94,7 +94,11 @@ class WeightDiagram:
             raise DomainError(f"sign must be '+', '-' or None, got {self.sign!r}")
         tail = self.tail_symbols
         if not isinstance(tail, str):
-            tail = "".join(tail)
+            try:
+                tail = "".join(tail)
+            except TypeError:
+                raise DomainError("tail_symbols must be a string of o, x, >, <, "
+                                  f"got {tail!r}") from None
         bad = tail.lstrip("ox><")
         if bad:
             raise DomainError(f"bad symbol {bad[0]!r} (positions past 0 take o, x, >, <)")
@@ -387,6 +391,8 @@ def enumerate_corefree(t: int, k: int, width: int) -> list[WeightDiagram]:
 
 def _iter_corefree(t: int, k: int, width: int):
     """The diagrams of :func:`enumerate_corefree`, one at a time."""
+    if k < 0:
+        raise DomainError(f"k must be non-negative, got {k}")
     if width < k:
         raise DomainError("width must be at least k")
     WeightDiagram(t)  # refuses a bad block type

@@ -2,12 +2,15 @@
 
 The rank-r reduction has one component per order filter F of r arcs in the
 arc forest of the compacted diagram: a set of arcs holding the enclosing arc
-of each member, which is what r steps can remove.  It erases the crosses of
-F, zero-stack arcs off the top of the stack, and is lifted back into the
-block.  For t=0 the erased diagram comes back unsigned: when its zero
-position is bare it stands for both signings, and the lift builds both.  A
-step removes a root with a multiplicity read off the parity of ``e``, the
-free positions left of its support:
+of each member, which is what r steps can remove.  The component is erased
+in lam: lam's own diagram with the crosses of F erased, zero-stack arcs off
+the top of the stack; compaction only finds the arcs.  Compacted position p
+is the (p - 1 + fold)-th position of lam's tail that holds no core symbol,
+where fold is 1 when a t=1 zero core folded the first of them into the
+stack; a cross folded so is the last the stack gives up.  The one sign rule
+signs the result: a t=0 component that needs a sign comes in both signings,
+a t=1 one keeps lam's sign.  A step removes a root with a multiplicity read
+off the parity of ``e``, the free positions left of its support:
 
     t = 1, 2:  (1|0) for e = 0,   (2|0) for even e > 0,   (0|2) for odd e
     t = 0:     (1|0) for even e,  (0|1) for odd e
@@ -36,14 +39,15 @@ crosses and the ends of arcs inside it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .arcs import Arc, ArcDiagram, _build_arcs, _erase, _sweep
-from .diagram import (DomainError, WeightDiagram, atypicality, check_valid,
-                      core_of, fmt, pari, sigma)
-from .howl import _howl, _unhowl, howl
+from .arcs import Arc, ArcDiagram, _build_arcs, _sweep
+from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign,
+                      atypicality, check_valid, fmt, pari, sigma)
+from .howl import _howl, howl
 
 
 class GradedMult(NamedTuple):
@@ -112,14 +116,35 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
     # r = 1: only the roots, tight when no free position lies left of the support
     filters = ([[(a, 1, 0, e == 0)] for a, e in _sweep(h).items()]
                if r == 1 else _filters(_build_arcs(h), r))
-    g, t2 = core_of(lam), h.t == 2
+    t, stack, core, tail = lam.t, lam.zero_crosses, lam.zero_core, lam.tail_symbols
+    # where the compacted positions lie in lam (see the module docstring)
+    fold = 1 if t == 1 and core is not None else 0
+    # the positions free of the core left of each core symbol
+    below = [m.start() - n for n, m in enumerate(re.finditer("[<>]", tail))]
+    # the cross the fold took, if any: the first position free of the core
+    spill = bisect_right(below, 0) if h.zero_crosses > stack else None
+    t2 = t == 2
+    components = out.components
     for members in filters:
         w = _weight(h, members)
-        supports = [m[0].support for m in members]
-        odd = sum(p - t2 for p in supports if p) % 2
+        erased, s, odd = tail, stack, 0
+        for a, _, _, _ in members:
+            p = a.support
+            if p:
+                q = p - 1 + fold
+                q += bisect_right(below, q)
+                erased = erased[:q] + EMPTY + erased[q + 1:]
+                odd ^= (p - t2) & 1
+            elif s:
+                s -= 1
+            else:
+                erased = erased[:spill] + EMPTY + erased[spill + 1:]
         mult = GradedMult(0, w) if odd else GradedMult(w, 0)
-        for nu in _unhowl(g, _erase(h, supports)):
-            out.add(nu, mult)
+        signs = ((lam.sign,) if t == 1 else ("+", "-")) \
+            if _needs_sign(t, s, core, erased) else (None,)
+        # different filters erase different crosses: no component repeats
+        for sign in signs:
+            components[WeightDiagram._trusted(t, s, core, erased, sign)] = mult
     return out
 
 
@@ -160,6 +185,8 @@ def _weight(h: WeightDiagram, members: list[tuple[Arc, int, int, bool]]) -> int:
     """Total multiplicity of the component that removing the filter
     ``members`` from ``h`` leaves (see the module docstring)."""
     r = len(members)
+    if r == 1:  # the table above: only a tight t=1, 2 root counts 1
+        return 1 if h.t == 0 or members[0][3] else 2
     num, den = math.factorial(r), math.prod(s for _, s, _, _ in members)
     if h.t == 0:
         chain = sorted(s for a, s, _, _ in members if a.support == 0)

@@ -13,9 +13,11 @@ diagram is returned as it is.
 diagram it re-distributes the crosses over the core's free slots.  Under a
 zero core the sign decides, by unfolding, whether one stack cross spills
 onto the first free slot, which is the only ambiguity the forward map
-collapses.  Inside the reduction an unsigned t=0 diagram with a bare zero
-position stands for both of its signings: each lift is built once, unchecked
-and with its final sign; only the public ``unhowl`` checks the lifts.
+collapses.  An unsigned t=0 diagram with a bare zero position stands for
+both of its signings: each lift is built once, unchecked and with its final
+sign, and the public ``unhowl`` checks the lifts.  The reduction lifts
+nothing: it finds the arcs in the compacted diagram and erases their crosses
+in the block's own diagram.
 """
 
 from __future__ import annotations

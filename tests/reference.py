@@ -9,6 +9,11 @@ multiplicity ``mult_rule`` reads off the free-left count ``e``.
 ``layers`` iterates the step over every intermediate state and composes the
 multiplicities in the parity-shift group ring.
 
+``lifted_dsr`` is the order-filter reduction with each component built in
+three steps: its crosses erased in the compacted diagram, the result lifted
+back into the core by ``_unhowl`` and added up, where the library erases the
+crosses in the diagram itself.
+
 ``stabilize`` is the move loop of :mod:`ospds.translate` that recomputes
 every position list and tests every core position against every cross on
 each move.
@@ -24,11 +29,11 @@ the library reads the cups off the arcs of one recast diagram.
 
 from fractions import Fraction
 
-from ospds.arcs import (DottedArcs, _build_arcs, free_left, maximal_arcs,
-                        remove_arc)
+from ospds.arcs import (DottedArcs, _build_arcs, _erase, _sweep, free_left,
+                        maximal_arcs, remove_arc)
 from ospds.diagram import (CORE_SYMBOLS, CROSS, DomainError, WeightDiagram,
-                           build, check_valid, core_of)
-from ospds.ds import ONE, Decomposition, GradedMult
+                           atypicality, build, check_valid, core_of)
+from ospds.ds import ONE, Decomposition, GradedMult, _filters, _weight
 from ospds.howl import _howl, _unhowl, howl
 from ospds.translate import trans_swap
 
@@ -88,6 +93,28 @@ def dsr(lam: WeightDiagram, r: int) -> Decomposition:
     for current, _ in zip(layers(lam), range(r + 1)):
         pass
     return current
+
+
+def lifted_dsr(lam: WeightDiagram, r: int) -> Decomposition:
+    """The reduction of a valid diagram at rank ``r``, each component erased
+    in the compacted diagram and lifted back into the core."""
+    if r == 0:
+        return Decomposition(lam.t, {lam: ONE})
+    out = Decomposition(lam.t)
+    if r > atypicality(lam):
+        return out
+    h = _howl(lam)
+    filters = ([[(a, 1, 0, e == 0)] for a, e in _sweep(h).items()]
+               if r == 1 else _filters(_build_arcs(h), r))
+    g, t2 = core_of(lam), h.t == 2
+    for members in filters:
+        w = _weight(h, members)
+        supports = [m[0].support for m in members]
+        odd = sum(p - t2 for p in supports if p) % 2
+        mult = GradedMult(0, w) if odd else GradedMult(w, 0)
+        for nu in _unhowl(g, _erase(h, supports)):
+            out.add(nu, mult)
+    return out
 
 
 def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:

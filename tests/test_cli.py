@@ -154,6 +154,10 @@ class TestOtherCommands:
         assert run("enumerate", "--t", "0", "-k", "3", "--width", "2") == (
             1, "", "error: width must be at least k\n")
 
+    def test_enumerate_negative_k(self, run):
+        assert run("enumerate", "--t", "0", "-k", "-1", "--width", "4") == (
+            1, "", "error: k must be non-negative, got -1\n")
+
     def test_usage_error(self, run):
         assert run("nonsense")[0] == 2
         assert run("ds", "+x")[0] == 2  # missing --t

@@ -246,11 +246,17 @@ def test_parse_format_round_trip_random(data, ):
     pytest.param(lambda: WeightDiagram(1, 0, None, "xab"), "bad symbol 'a'", id="tail"),
     pytest.param(lambda: WeightDiagram(1, 0, None, ["x", "*"]), "bad symbol '\\*'",
                  id="list tail"),
+    pytest.param(lambda: WeightDiagram(1, 0, None, None),
+                 "tail_symbols must be a string of o, x, >, <, got None", id="tail None"),
+    pytest.param(lambda: WeightDiagram(1, 0, None, [1, 2]),
+                 "tail_symbols must be a string .*, got \\[1, 2\\]", id="int tail"),
     pytest.param(lambda: P("ox", 1).sym(0), "positive positions only", id="sym(0)"),
     pytest.param(lambda: build(1, 0, None, {0: CROSS}), "positions must be >= 1",
                  id="build at 0"),
     pytest.param(lambda: pari(P(">x", 1)), "core-free", id="pari of a core"),
     pytest.param(lambda: enumerate_corefree(3, 1, 4), "block type", id="enumerate t=3"),
+    pytest.param(lambda: enumerate_corefree(0, -1, 4), "k must be non-negative, got -1",
+                 id="enumerate k=-1"),
 ])
 def test_public_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):

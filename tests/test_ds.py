@@ -1,15 +1,17 @@
+import itertools
 import math
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 
 import reference
-from ospds import ds as ds_module
-from ospds.diagram import (DomainError, WeightDiagram, atypicality, core_of,
-                           enumerate_corefree, fmt, is_stable, sigma, validate)
+from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality, build,
+                           core_of, enumerate_corefree, fmt, is_stable, sigma,
+                           validate)
 from ospds.ds import Decomposition, GradedMult, check_purity, ds1, ds_osp, dsr
-from ospds.howl import UnhowlError, howl, tau, unhowl
+from ospds.howl import UnhowlError, _howl, howl, tau, unhowl
 from ospds.translate import stabilize
 from reference import gm_mul
 from conftest import P, diagrams
@@ -169,20 +171,103 @@ class TestAgainstTheIteratedReference:
         _matches_reference(lam)
 
 
+def _matches_the_lift(lam):
+    """dsr against the erase-and-lift route at every rank, component order
+    and multiplicities included."""
+    for r in range(atypicality(lam) + 2):
+        got = list(dsr(lam, r).components.items())
+        want = list(reference.lifted_dsr(lam, r).components.items())
+        assert got == want, (fmt(lam), r)
+
+
+def _tree(rng, size):
+    """A seeded tree of ``size`` nested arcs."""
+    inner, out = size - 1, []
+    while inner:
+        part = rng.randint(1, inner)
+        out.append(_tree(rng, part))
+        inner -= part
+    return "x" + "".join(out) + "o"
+
+
+def _lift(rng, h, zero):
+    """A seeded lift of ``h`` into a core with ``zero`` at position 0 and 2
+    to 6 symbols spread over twice its width and stack, as in the
+    benchmark's cored lifts."""
+    span = 2 * (h.width + h.zero_crosses)
+    while True:
+        body = {p: rng.choice((GT, LT)) for p in rng.sample(range(1, span + 1),
+                                                          rng.randint(2, 6))}
+        sign = "+" if h.t == 0 and GT in body.values() else None
+        try:
+            return unhowl(build(h.t, 0, zero, body, sign), h)[0]
+        except DomainError:
+            continue
+
+
+class TestAgainstTheLiftedReference:
+    """dsr builds each component in the diagram itself; the old route erased
+    in the compacted diagram and lifted the result back into the core."""
+
+    ZEROS = {0: (None,), 1: (None, GT, LT), 2: (GT,)}  # zero symbols of a core
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_cored_arcs(self, t):
+        rng = random.Random(f"arcs:{t}")
+        # 25 arcs in five chains, 12 in four trees, and ten side by side
+        for tail in ("".join("o" * rng.randint(0, 3) + "x" * 5 + "o" * 5 for _ in range(5)),
+                     "".join("o" * rng.randint(0, 3) + _tree(rng, 3) for _ in range(4)),
+                     "".join("o" * rng.randint(0, 2) + "xo" for _ in range(10))):
+            sign = rng.choice("+-") if t == 0 else ""
+            h = P(sign + (">" if t == 2 else "o") + tail, t)
+            _matches_the_lift(_lift(rng, h, rng.choice(self.ZEROS[t])))
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_cored_stacks(self, t):
+        rng = random.Random(f"stack:{t}")
+        # under a t=1 zero core, the "+" stack folds a cross into the core
+        for size, sign in ((40, "+"), (200, "-")):
+            tail = "".join("o" * rng.randint(0, 16) + "xo" for _ in range(4))
+            h = P((sign if t == 1 else "") + f"x^{size}" + ("/>" if t == 2 else "") + tail, t)
+            for zero in self.ZEROS[t]:
+                _matches_the_lift(_lift(rng, h, zero))
+
+    def test_folded_cross(self):
+        # the fold puts the first cross off the core on top of the stack; the
+        # ranks that empty the stack erase it
+        for zero, stack, before, after in itertools.product(
+                "<>", ("", "x/", "x^3/"), ("", "<", "><"), ("", "ox", "x>xo", "o<xx")):
+            lam = P(stack + zero + before + "x" + after, 1)
+            assert _howl(lam).zero_crosses == lam.zero_crosses + 1
+            _matches_the_lift(lam)
+            assert list(dsr(lam, atypicality(lam)).components) == [core_of(lam)]
+
+    def test_both_signings(self):
+        # emptying a t=0 stack leaves a bare zero position: both signings
+        signed = 0
+        for stack, tail in itertools.product(("x", "x^2", "x^4"),
+                                             ("x", "oxox", "o>x", ">", "x<ox>", "oo>o")):
+            lam = P(stack + tail, 0)
+            _matches_the_lift(lam)
+            for r in range(1, atypicality(lam) + 1):
+                dec = dsr(lam, r).components
+                signed += sum(nu.sign == "+" and sigma(nu) in dec for nu in dec)
+        assert signed
+
+
 class TestTrustedConstruction:
-    """The reduction builds its compacted, erased and lifted diagrams and the
-    cores without a check: each must be what the public constructor makes of
-    its own fields."""
+    """The reduction builds its compacted diagrams and its components
+    without a check: each must be what the public constructor makes of its
+    own fields."""
 
     @pytest.fixture
     def built(self, monkeypatch):
         out = []
-        for name in ("_howl", "core_of", "_erase", "_unhowl"):
-            def spy(*args, step=getattr(ds_module, name)):
-                result = step(*args)
-                out.extend(result if isinstance(result, list) else [result])
-                return result
-            monkeypatch.setattr(ds_module, name, spy)
+
+        def spy(cls, *fields, trusted=WeightDiagram._trusted):
+            out.append(trusted(*fields))
+            return out[-1]
+        monkeypatch.setattr(WeightDiagram, "_trusted", classmethod(spy))
         return out
 
     def test_pool(self, corefree_pool, built):
