@@ -6,8 +6,10 @@ counts the positions strictly to its left that hold no core symbol (t=2
 shifts the off-zero landing spots up by one because the zero ``>`` is kept).
 Several crosses may share s_i = 0; they pile up on the zero stack.  A zero
 core symbol is forgotten by folding the first free position into the zero
-stack, which fixes the sign; otherwise the sign is kept.  A core-free
-diagram is returned as it is.
+stack, which fixes the sign; otherwise the sign is kept.  ``_compact`` is
+the one compaction rule: it returns the zero stack, tail and sign of the
+result without building a diagram, and ``_howl`` builds its diagram from
+them, or returns a core-free diagram as it is.
 
 ``unhowl`` inverts this inside a block: given the core and the compacted
 diagram it re-distributes the crosses over the core's free slots.  Under a
@@ -39,13 +41,21 @@ def _howl(d: WeightDiagram) -> WeightDiagram:
     """:func:`howl` of a diagram known to be valid."""
     if d.is_core_free():
         return d
+    stack, tail, sign = _compact(d)
+    return WeightDiagram._trusted(d.t, stack, GT if d.t == 2 else None, tail, sign)
+
+
+def _compact(d: WeightDiagram) -> tuple[int, str, str | None]:
+    """The zero stack, tail and sign of :func:`howl` of a valid ``d``, in
+    canonical form, with no diagram built."""
     # deleting the core symbols puts every cross on its s-number
     tail = d.tail_symbols.replace(GT, "").replace(LT, "")
     stack, sign = d.zero_crosses, d.sign
     if d.t != 2 and d.zero_core is not None:
         # the zero core is forgotten: the first free position becomes zero
         stack, tail, sign = _fold(stack, tail)
-    return WeightDiagram._trusted(d.t, stack, GT if d.t == 2 else None, tail, sign)
+    tail = tail.rstrip(EMPTY)
+    return stack, tail, sign if stack or tail else None
 
 
 def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:

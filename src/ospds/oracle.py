@@ -15,8 +15,12 @@ for both of its signings at once, so its base value doubles.  A problem that
 merely passes through type 2 on its way from the even series keeps
 single-diagram semantics throughout.
 
-Only the two inputs are checked: the intermediates are built unchecked, and
-only the trace's shrink steps go through the public constructor.
+Only the two inputs are diagrams, and only they are checked.  The recursion
+runs on plain fields: the compacted zero stack, tail and sign that
+:func:`ospds.howl._compact` returns, with the block type and the zero ``>``
+of type 2 implied; ``p`` is the source's stack and ``i`` the target's.  A
+diagram is built from fields only to print a trace step, and only when a
+trace is asked for.
 
 This is the package's second, arc-free route to the same numbers; the test
 suite checks it against the arc formula componentwise.
@@ -24,13 +28,12 @@ suite checks it against the arc formula componentwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _fold,
-                      atypicality, check_valid, fmt, sigma)
+                      atypicality, check_valid, fmt)
 from .ds import GradedMult, ZERO
-from .howl import _howl
+from .howl import _compact
 
 
 @dataclass
@@ -43,32 +46,25 @@ class Step:
         return f"{self.rule:<16} {self.source}  /  {self.target}"
 
 
-def _note(trace: list[Step] | None, rule: str, f, g) -> None:
+def _note(trace: list[Step] | None, rule: str, t: int, f, g) -> None:
+    """Record a step; ``f`` and ``g`` are diagrams, fields of type ``t`` or
+    text, and fields become a diagram here only."""
     if trace is not None:
-        src = fmt(f) if isinstance(f, WeightDiagram) else str(f)
-        tgt = fmt(g) if isinstance(g, WeightDiagram) else str(g)
-        trace.append(Step(rule, src, tgt))
+        trace.append(Step(rule, _show(t, f), _show(t, g)))
 
 
-def _gap_after_zero(d: WeightDiagram) -> float:
-    """Length of the empty run starting at position 1 (inf when no cross
-    follows; the input is core-free, so only a cross can end the run)."""
-    u = d.tail_symbols.find(CROSS)
-    return u if u >= 0 else math.inf
+def _show(t: int, x) -> str:
+    if isinstance(x, tuple):
+        x = WeightDiagram._trusted(t, x[0], GT if t == 2 else None, x[1], x[2])
+    return fmt(x) if isinstance(x, WeightDiagram) else x
 
 
-def _drop_prefix(d: WeightDiagram, n: int, new_stack: int,
-                 sign: str | None) -> WeightDiagram:
-    """Rebuild with positions 1..n removed and the zero data replaced."""
-    return WeightDiagram._trusted(d.t, new_stack, d.zero_core, d.tail_symbols[n:], sign)
-
-
-def _base(f: WeightDiagram, scale: int) -> GradedMult:
+def _base(stack: int, tail: str, scale: int) -> GradedMult:
     """Atypicality-one source against the empty target; a lone off-zero
     cross counts ``scale`` times."""
-    if f.zero_crosses == 1:
+    if stack == 1:
         return GradedMult(1, 0)
-    u = f.tail_symbols.index(CROSS) + 1
+    u = tail.index(CROSS) + 1
     return GradedMult(scale, 0) if u % 2 == 0 else GradedMult(0, scale)
 
 
@@ -77,104 +73,96 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
     """Graded multiplicity of ``nu`` in the rank-1 reduction of ``lam``."""
     check_valid(lam)
     check_valid(nu)
-    if lam.t != nu.t:
+    t = lam.t
+    if t != nu.t:
         raise DomainError("source and target must share the block type")
     # same t, zero core and crossless tail: same core (the t=0 sign follows)
     if (lam.zero_core != nu.zero_core
             or lam.tail_symbols.replace(CROSS, EMPTY).rstrip(EMPTY)
             != nu.tail_symbols.replace(CROSS, EMPTY).rstrip(EMPTY)):
-        _note(trace, "cores differ", lam, nu)
+        _note(trace, "cores differ", t, lam, nu)
         return ZERO
     if atypicality(lam) - atypicality(nu) != 1:
-        _note(trace, "wrong atyp gap", lam, nu)
+        _note(trace, "wrong atyp gap", t, lam, nu)
         return ZERO
-    f, g = _howl(lam), _howl(nu)
-    _note(trace, "compact", f, g)
+    (p, tail, sign), (i, gtail, gsign) = _compact(lam), _compact(nu)
+    _note(trace, "compact", t, (p, tail, sign), (i, gtail, gsign))
 
     # eat the target's off-zero crosses from the right: the source must show
-    # cross/empty at (u, u+1), u+1 possibly past its stored tail, and both
-    # diagrams lose those two positions; the target has nothing right of u,
-    # so what is left of it is a prefix
-    tail = f.tail_symbols
-    for u in reversed(g.cross_positions()):
-        if tail[u - 1:u + 1] not in (CROSS + EMPTY, CROSS):
-            if trace is not None:
-                _note(trace, "no cross/empty", f.with_tail(tail),
-                      g.with_tail(g.tail_symbols[:u]))
+    # cross/empty at tail indices (j, j+1), j+1 possibly past its stored
+    # tail, and both lose those two positions; the target has nothing right
+    # of j, so what is left of it is a prefix
+    j = gtail.rfind(CROSS)
+    while j >= 0:
+        if tail[j:j + 2] not in (CROSS + EMPTY, CROSS):
+            _note(trace, "no cross/empty", t, (p, tail, sign), (i, gtail[:j + 1], gsign))
             return ZERO
-        tail = tail[:u - 1] + tail[u + 1:]
+        tail = tail[:j] + tail[j + 2:]
         if trace is not None:
-            _note(trace, f"shrink at {u}", f.with_tail(tail),
-                  g.with_tail(g.tail_symbols[:u - 1]))
-    f = WeightDiagram._trusted(f.t, f.zero_crosses, f.zero_core, tail, f.sign)
-    g = WeightDiagram._trusted(g.t, g.zero_crosses, g.zero_core, "", g.sign)
+            _note(trace, f"shrink at {j + 1}", t, (p, tail, sign), (i, gtail[:j], gsign))
+        j = gtail.rfind(CROSS, 0, j)
 
-    t = f.t
     if t == 1:
-        return _reduce_odd(f, g, trace)
+        return _reduce_odd(p, tail, sign, i, gsign, trace)
     if t == 0:
-        i = g.zero_crosses
         if i == 0:
-            _note(trace, "base even", f, g)
-            return _base(f, 1)
-        return _even_stack(f, i, trace)
-    return _type2(f, g.zero_crosses, trace, double_bare=True)
+            _note(trace, "base even", 0, (p, tail, sign), EMPTY)
+            return _base(p, tail, 1)
+        return _even_stack(p, tail, sign, i, trace)
+    return _type2(p, tail, i, trace, double_bare=True)
 
 
-def _reduce_odd(f: WeightDiagram, g: WeightDiagram,
+def _reduce_odd(p: int, tail: str, sign: str | None, i: int, gsign: str | None,
                 trace: list[Step] | None) -> GradedMult:
-    """Odd-series source against a bare-stack target."""
-    i = g.zero_crosses
+    """Odd-series source against the bare-stack target of size i."""
     if i == 0:
-        _note(trace, "base odd", f, g)
-        return _base(f, 2)
-    if g.sign == "+":
-        f, g = sigma(f), sigma(g)
-        _note(trace, "flip signs", f, g)
-    if f.sign != "-" or f.zero_crosses < i:
-        _note(trace, "stack mismatch", f, g)
+        _note(trace, "base odd", 1, (p, tail, sign), EMPTY)
+        return _base(p, tail, 2)
+    if gsign == "+":
+        sign, gsign = {"+": "-", "-": "+"}.get(sign), "-"
+        _note(trace, "flip signs", 1, (p, tail, sign), (i, "", gsign))
+    if sign != "-" or p < i:
+        _note(trace, "stack mismatch", 1, (p, tail, sign), (i, "", gsign))
         return ZERO
-    p = f.zero_crosses
-    j = _gap_after_zero(f)
+    # the gap is the empty run from position 1: the tail is core-free, so
+    # only a cross ends it, and none means it never ends
+    j = tail.find(CROSS)
     if j == 2 * i - 1:
         # the cross closing the gap is absorbed into the stack
-        f2 = _drop_prefix(f, 2 * i, p - i + 1, "-")
-        _note(trace, "close gap", f2, "o")
-        return _base(f2, 2)
-    if j >= 2 * i:
-        stack = p - i
-        f2 = _drop_prefix(f, 2 * i, stack, "-" if stack else None)
-        _note(trace, "shorten gap", f2, "o")
-        return _base(f2, 2)
-    _note(trace, "gap too short", f, g)
-    return ZERO
+        rule, stack, sign = "close gap", p - i + 1, "-"
+    elif j < 0 or j >= 2 * i:
+        rule, stack = "shorten gap", p - i
+        sign = "-" if stack else None
+    else:
+        _note(trace, "gap too short", 1, (p, tail, sign), (i, "", gsign))
+        return ZERO
+    tail = tail[2 * i:]
+    _note(trace, rule, 1, (stack, tail, sign), EMPTY)
+    return _base(stack, tail, 2)
 
 
-def _even_stack(f: WeightDiagram, i: int,
+def _even_stack(p: int, tail: str, sign: str | None, i: int,
                 trace: list[Step] | None) -> GradedMult:
     """Even-series source against the bare-stack target of size i >= 1:
     trade one stack cross for the zero ``>`` and continue in type 2."""
-    if f.zero_crosses == 0 or f.sym(1) == CROSS:
-        _note(trace, "stack mismatch", f, f"x^{i}")
+    if p == 0 or tail[:1] == CROSS:
+        _note(trace, "stack mismatch", 0, (p, tail, sign), f"x^{i}")
         return ZERO
-    f2 = WeightDiagram._trusted(2, f.zero_crosses - 1, GT, f.tail_symbols[1:], None)
-    _note(trace, "to type 2", f2, f"x^{i - 1}/>")
-    return _type2(f2, i - 1, trace, double_bare=False)
+    _note(trace, "to type 2", 2, (p - 1, tail[1:], None), f"x^{i - 1}/>")
+    return _type2(p - 1, tail[1:], i - 1, trace, double_bare=False)
 
 
-def _type2(f: WeightDiagram, i: int, trace: list[Step] | None,
+def _type2(p: int, tail: str, i: int, trace: list[Step] | None,
            double_bare: bool) -> GradedMult:
     """Type-2 source against the stack-i-over-``>`` target."""
     if i >= 1:
-        p = f.zero_crosses
-        j = _gap_after_zero(f)
-        if p < i or j < 2 * i:
-            _note(trace, "stack mismatch", f, f"x^{i}/>")
+        j = tail.find(CROSS)
+        if p < i or 0 <= j < 2 * i:
+            _note(trace, "stack mismatch", 2, (p, tail, None), f"x^{i}/>")
             return ZERO
-        f = _drop_prefix(f, 2 * i, p - i, None)
-        _note(trace, "shorten gap", f, ">")
+        p, tail = p - i, tail[2 * i:]
+        _note(trace, "shorten gap", 2, (p, tail, None), GT)
     # target is the bare ``>``: drop it and return to the even series
-    stack, tail, _ = _fold(f.zero_crosses, f.tail_symbols)
-    f2 = WeightDiagram._trusted(0, stack, None, tail, None)
-    _note(trace, "drop zero >", f2, "o")
-    return _base(f2, 2 if double_bare and stack == 0 else 1)
+    stack, tail, _ = _fold(p, tail)
+    _note(trace, "drop zero >", 0, (stack, tail, None), EMPTY)
+    return _base(stack, tail, 2 if double_bare and stack == 0 else 1)

@@ -22,19 +22,29 @@ each move.
 ``Fraction`` factors, with a gcd on every multiplication, where the library
 multiplies doubled integer coordinates and divides once.
 
+``oracle_mult1`` is the arc-free single multiplicity of :mod:`ospds.oracle`
+as it ran on compacted diagrams, each intermediate a diagram built by
+``_howl_diagram``, the compaction as it was before it returned fields, where
+the library runs on fields and builds diagrams only for its trace.
+``oracle_dsr`` composes r of its rank-1 steps, an arc-free route to the
+reduction at every rank.
+
 ``es_dotted`` is the dotted-cup conversion of :mod:`ospds.arcs` with its own
 cup matcher over sets of positions, quadratic in the nesting depth, where
 the library reads the cups off the arcs of one recast diagram.
 """
 
+import math
 from fractions import Fraction
 
 from ospds.arcs import (DottedArcs, _build_arcs, _erase, _sweep, free_left,
                         maximal_arcs, remove_arc)
-from ospds.diagram import (CORE_SYMBOLS, CROSS, DomainError, WeightDiagram,
-                           atypicality, build, check_valid, core_of)
-from ospds.ds import ONE, Decomposition, GradedMult, _filters, _weight
-from ospds.howl import _howl, _unhowl, howl
+from ospds.diagram import (CORE_SYMBOLS, CROSS, EMPTY, GT, LT, DomainError,
+                           WeightDiagram, _fold, atypicality, build, check_valid,
+                           core_of, enumerate_corefree, fmt, sigma)
+from ospds.ds import ONE, ZERO, Decomposition, GradedMult, _filters, _weight
+from ospds.howl import UnhowlError, _howl, _unhowl, howl, unhowl
+from ospds.oracle import Step
 from ospds.translate import trans_swap
 
 
@@ -115,6 +125,192 @@ def lifted_dsr(lam: WeightDiagram, r: int) -> Decomposition:
         for nu in _unhowl(g, _erase(h, supports)):
             out.add(nu, mult)
     return out
+
+
+def _howl_diagram(d: WeightDiagram) -> WeightDiagram:
+    """:func:`ospds.howl.howl` of a diagram known to be valid."""
+    if d.is_core_free():
+        return d
+    # deleting the core symbols puts every cross on its s-number
+    tail = d.tail_symbols.replace(GT, "").replace(LT, "")
+    stack, sign = d.zero_crosses, d.sign
+    if d.t != 2 and d.zero_core is not None:
+        # the zero core is forgotten: the first free position becomes zero
+        stack, tail, sign = _fold(stack, tail)
+    return WeightDiagram._trusted(d.t, stack, GT if d.t == 2 else None, tail, sign)
+
+
+def _note(trace: list[Step] | None, rule: str, f, g) -> None:
+    if trace is not None:
+        src = fmt(f) if isinstance(f, WeightDiagram) else str(f)
+        tgt = fmt(g) if isinstance(g, WeightDiagram) else str(g)
+        trace.append(Step(rule, src, tgt))
+
+
+def _gap_after_zero(d: WeightDiagram) -> float:
+    """Length of the empty run starting at position 1 (inf when no cross
+    follows; the input is core-free, so only a cross can end the run)."""
+    u = d.tail_symbols.find(CROSS)
+    return u if u >= 0 else math.inf
+
+
+def _drop_prefix(d: WeightDiagram, n: int, new_stack: int,
+                 sign: str | None) -> WeightDiagram:
+    """Rebuild with positions 1..n removed and the zero data replaced."""
+    return WeightDiagram._trusted(d.t, new_stack, d.zero_core, d.tail_symbols[n:], sign)
+
+
+def _base(f: WeightDiagram, scale: int) -> GradedMult:
+    """Atypicality-one source against the empty target; a lone off-zero
+    cross counts ``scale`` times."""
+    if f.zero_crosses == 1:
+        return GradedMult(1, 0)
+    u = f.tail_symbols.index(CROSS) + 1
+    return GradedMult(scale, 0) if u % 2 == 0 else GradedMult(0, scale)
+
+
+def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
+                 trace: list[Step] | None = None) -> GradedMult:
+    """Graded multiplicity of ``nu`` in the rank-1 reduction of ``lam``."""
+    check_valid(lam)
+    check_valid(nu)
+    if lam.t != nu.t:
+        raise DomainError("source and target must share the block type")
+    # same t, zero core and crossless tail: same core (the t=0 sign follows)
+    if (lam.zero_core != nu.zero_core
+            or lam.tail_symbols.replace(CROSS, EMPTY).rstrip(EMPTY)
+            != nu.tail_symbols.replace(CROSS, EMPTY).rstrip(EMPTY)):
+        _note(trace, "cores differ", lam, nu)
+        return ZERO
+    if atypicality(lam) - atypicality(nu) != 1:
+        _note(trace, "wrong atyp gap", lam, nu)
+        return ZERO
+    f, g = _howl_diagram(lam), _howl_diagram(nu)
+    _note(trace, "compact", f, g)
+
+    # eat the target's off-zero crosses from the right: the source must show
+    # cross/empty at (u, u+1), u+1 possibly past its stored tail, and both
+    # diagrams lose those two positions; the target has nothing right of u,
+    # so what is left of it is a prefix
+    tail = f.tail_symbols
+    for u in reversed(g.cross_positions()):
+        if tail[u - 1:u + 1] not in (CROSS + EMPTY, CROSS):
+            if trace is not None:
+                _note(trace, "no cross/empty", f.with_tail(tail),
+                      g.with_tail(g.tail_symbols[:u]))
+            return ZERO
+        tail = tail[:u - 1] + tail[u + 1:]
+        if trace is not None:
+            _note(trace, f"shrink at {u}", f.with_tail(tail),
+                  g.with_tail(g.tail_symbols[:u - 1]))
+    f = WeightDiagram._trusted(f.t, f.zero_crosses, f.zero_core, tail, f.sign)
+    g = WeightDiagram._trusted(g.t, g.zero_crosses, g.zero_core, "", g.sign)
+
+    t = f.t
+    if t == 1:
+        return _reduce_odd(f, g, trace)
+    if t == 0:
+        i = g.zero_crosses
+        if i == 0:
+            _note(trace, "base even", f, g)
+            return _base(f, 1)
+        return _even_stack(f, i, trace)
+    return _type2(f, g.zero_crosses, trace, double_bare=True)
+
+
+def _reduce_odd(f: WeightDiagram, g: WeightDiagram,
+                trace: list[Step] | None) -> GradedMult:
+    """Odd-series source against a bare-stack target."""
+    i = g.zero_crosses
+    if i == 0:
+        _note(trace, "base odd", f, g)
+        return _base(f, 2)
+    if g.sign == "+":
+        f, g = sigma(f), sigma(g)
+        _note(trace, "flip signs", f, g)
+    if f.sign != "-" or f.zero_crosses < i:
+        _note(trace, "stack mismatch", f, g)
+        return ZERO
+    p = f.zero_crosses
+    j = _gap_after_zero(f)
+    if j == 2 * i - 1:
+        # the cross closing the gap is absorbed into the stack
+        f2 = _drop_prefix(f, 2 * i, p - i + 1, "-")
+        _note(trace, "close gap", f2, "o")
+        return _base(f2, 2)
+    if j >= 2 * i:
+        stack = p - i
+        f2 = _drop_prefix(f, 2 * i, stack, "-" if stack else None)
+        _note(trace, "shorten gap", f2, "o")
+        return _base(f2, 2)
+    _note(trace, "gap too short", f, g)
+    return ZERO
+
+
+def _even_stack(f: WeightDiagram, i: int,
+                trace: list[Step] | None) -> GradedMult:
+    """Even-series source against the bare-stack target of size i >= 1:
+    trade one stack cross for the zero ``>`` and continue in type 2."""
+    if f.zero_crosses == 0 or f.sym(1) == CROSS:
+        _note(trace, "stack mismatch", f, f"x^{i}")
+        return ZERO
+    f2 = WeightDiagram._trusted(2, f.zero_crosses - 1, GT, f.tail_symbols[1:], None)
+    _note(trace, "to type 2", f2, f"x^{i - 1}/>")
+    return _type2(f2, i - 1, trace, double_bare=False)
+
+
+def _type2(f: WeightDiagram, i: int, trace: list[Step] | None,
+           double_bare: bool) -> GradedMult:
+    """Type-2 source against the stack-i-over-``>`` target."""
+    if i >= 1:
+        p = f.zero_crosses
+        j = _gap_after_zero(f)
+        if p < i or j < 2 * i:
+            _note(trace, "stack mismatch", f, f"x^{i}/>")
+            return ZERO
+        f = _drop_prefix(f, 2 * i, p - i, None)
+        _note(trace, "shorten gap", f, ">")
+    # target is the bare ``>``: drop it and return to the even series
+    stack, tail, _ = _fold(f.zero_crosses, f.tail_symbols)
+    f2 = WeightDiagram._trusted(0, stack, None, tail, None)
+    _note(trace, "drop zero >", f2, "o")
+    return _base(f2, 2 if double_bare and stack == 0 else 1)
+
+
+def oracle_layers(lam: WeightDiagram):
+    """The reductions of a valid diagram at rank 0, 1, ..., k, each step
+    composed of :func:`oracle_mult1` steps with no arc diagram built: step
+    i + 1 takes every diagram over the core of ``lam`` with k - i - 1
+    crosses and adds up its multiplicities from the components of step i."""
+    t, k, core = lam.t, atypicality(lam), core_of(lam)
+    width = max(howl(lam).width, k)  # a component drops crosses, never moves one right
+    current = {lam: ONE}
+    yield Decomposition(t, current)
+    for i in range(k):
+        nxt = {}
+        for h in enumerate_corefree(t, k - i - 1, width):
+            try:
+                lifts = unhowl(core, h)
+            except UnhowlError:
+                continue
+            for nu in lifts:
+                g = ZERO
+                for mu, gm in current.items():
+                    g += gm_mul(gm, oracle_mult1(mu, nu))
+                if g != ZERO:
+                    nxt[nu] = g
+        current = nxt
+        yield Decomposition(t, current)
+
+
+def oracle_dsr(lam: WeightDiagram, r: int) -> Decomposition:
+    """The reduction of a valid diagram at rank ``r`` as ``r`` composed
+    :func:`oracle_mult1` steps; empty above the atypicality."""
+    if r > atypicality(lam):
+        return Decomposition(lam.t)
+    for current, _ in zip(oracle_layers(lam), range(r + 1)):
+        pass
+    return current
 
 
 def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from ospds.diagram import (EMPTY, DomainError, atypicality, core_of, enumerate_corefree,
                            fmt, sigma, validate)
-from ospds.ds import ZERO, GradedMult, ds1
+from ospds.ds import ZERO, GradedMult, ds1, dsr
 from ospds.howl import UnhowlError, howl, tau, unhowl
 from ospds.oracle import Step, oracle_mult1
 from conftest import P, diagrams
@@ -152,6 +155,97 @@ class TestCoreComparison:
         nu = data.draw(st.one_of(diagrams().filter(lambda d: d.t == lam.t),
                                  st.sampled_from([lam, sigma(lam), core_of(lam)])))
         assert _cores_differ(lam, nu) is (core_of(lam) != core_of(nu))
+
+
+# the rules a problem can stop at, each of which the corpus below must reach
+STOPS = {"cores differ", "wrong atyp gap", "no cross/empty", "stack mismatch",
+         "gap too short", "close gap", "shorten gap", "drop zero >"}
+
+
+def _same_as_the_reference(lam, nu):
+    """The library and the reference agree on ``nu`` in the reduction of
+    ``lam``, result and trace text; returns the rule the trace stops at."""
+    got, want = [], []
+    assert oracle_mult1(lam, nu) == oracle_mult1(lam, nu, got) \
+        == reference.oracle_mult1(lam, nu, want), (fmt(lam), fmt(nu))
+    assert [str(s) for s in got] == [str(s) for s in want], (fmt(lam), fmt(nu))
+    return got[-1].rule
+
+
+class TestAgainstTheReference:
+    """The oracle on fields against the oracle on diagrams it replaced."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, small_cores):
+        """The width-9, k <= 4 core-free pool and its lifts into the small
+        cores, by (type, core, atypicality)."""
+        blocks = {}
+        for t in (0, 1, 2):
+            for k in range(5):
+                for h in enumerate_corefree(t, k, 9):
+                    for g in [None] + small_cores[t]:
+                        try:
+                            lifts = [h] if g is None else unhowl(g, h)
+                        except UnhowlError:
+                            continue
+                        for lam in lifts:
+                            blocks.setdefault((t, core_of(lam), k), []).append(lam)
+        return blocks
+
+    def test_pool_and_lifts(self, corpus):
+        rng, stops = random.Random(16), set()
+        by_type = {}
+        for t, core, k in corpus:
+            by_type.setdefault(t, []).append(core)
+        for (t, core, k), lams in corpus.items():
+            below = corpus.get((t, core, k - 1), [])
+            for n, lam in enumerate(lams if k else []):
+                targets = [*ds1(lam).components, *rng.sample(below, min(1, len(below)))]
+                if n == 0:
+                    # once per block: a target one cross below over another
+                    # core (a source of this block when that core has none),
+                    # and the source itself, one cross too many
+                    other = rng.choice(by_type[t])
+                    targets += [rng.choice(corpus.get((t, other, k - 1), lams)), lam]
+                for nu in targets:
+                    stops.add(_same_as_the_reference(lam, nu))
+        assert STOPS <= stops, STOPS - stops
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams())
+    def test_random_diagrams(self, lam):
+        for nu in (*ds1(lam).components, *_erased_lifts(lam), lam, core_of(lam)):
+            _same_as_the_reference(lam, nu)
+
+
+class TestComposedSteps:
+    """The rank-r reduction as r composed oracle steps, a route that builds
+    no arc diagram, against ``dsr`` at every rank."""
+
+    @staticmethod
+    def _matches(lam):
+        for r, want in enumerate(reference.oracle_layers(lam)):
+            assert dsr(lam, r).components == want.components, (fmt(lam), r)
+        assert r == atypicality(lam)
+        assert reference.oracle_dsr(lam, r + 1).components == {}
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_pool(self, t):
+        for k in range(5):
+            for lam in enumerate_corefree(t, k, 7):
+                self._matches(lam)
+
+    def test_cored_lifts(self, small_cores):
+        for t, cores in small_cores.items():
+            for g in cores:
+                for k in range(1, 4):
+                    for h in enumerate_corefree(t, k, 5):
+                        try:
+                            lifts = unhowl(g, h)
+                        except UnhowlError:
+                            continue
+                        for lam in lifts:
+                            self._matches(lam)
 
 
 def _signed_stack(sign, p, rest=""):
