@@ -134,16 +134,6 @@ class WeightDiagram:
             return self.tail_symbols[p - 1]
         return EMPTY
 
-    def cross_positions(self) -> tuple[int, ...]:
-        """Positive positions holding a cross (the zero stack is separate)."""
-        return tuple(p for p, s in enumerate(self.tail_symbols, 1) if s == CROSS)
-
-    def core_positions(self) -> tuple[int, ...]:
-        """All positions holding a core symbol, including 0 for the zero core."""
-        out = [0] if self.zero_core is not None else []
-        out.extend(p for p, s in enumerate(self.tail_symbols, 1) if s in CORE_SYMBOLS)
-        return tuple(out)
-
     def count(self, symbol: str) -> int:
         n = self.tail_symbols.count(symbol)
         if symbol == CROSS:
@@ -347,14 +337,10 @@ def tail_length(d: WeightDiagram) -> int:
 def is_stable(d: WeightDiagram) -> bool:
     """True when every cross strictly precedes every core symbol, the zero
     ``>`` of the even series being exempt."""
-    cores = [p for p in d.core_positions() if not (d.t in (0, 2) and p == 0)]
-    if not cores:
-        return True
-    first_core = min(cores)
-    crosses = list(d.cross_positions())
-    if d.zero_crosses:
-        crosses.append(0)
-    return all(x < first_core for x in crosses)
+    tail = d.tail_symbols
+    if d.t == 1 and d.zero_core is not None:
+        return not d.zero_crosses and CROSS not in tail
+    return CROSS not in tail.lstrip(CROSS + EMPTY)
 
 
 def sigma(d: WeightDiagram) -> WeightDiagram:
@@ -374,11 +360,8 @@ def pari(d: WeightDiagram) -> int:
     """
     if not d.is_core_free():
         raise DomainError("pari is defined on core-free diagrams")
-    if d.t == 2:
-        total = sum(p - 1 for p in d.cross_positions() if p >= 2)
-    else:
-        total = sum(d.cross_positions())
-    return -1 if total % 2 else 1
+    # tail index i is position p = i + 1, and a cross counts p - [t = 2]
+    return -1 if d.tail_symbols[d.t == 2::2].count(CROSS) % 2 else 1
 
 
 def enumerate_corefree(t: int, k: int, width: int) -> list[WeightDiagram]:

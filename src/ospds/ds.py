@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .arcs import Arc, ArcDiagram, _build_arcs, _sweep
 from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign,
-                      atypicality, check_valid, fmt, pari, sigma)
+                      atypicality, check_valid, fmt, pari)
 from .howl import _howl, howl
 
 
@@ -254,13 +254,7 @@ def ds_osp(lam: WeightDiagram) -> Decomposition:
     plain = ds1(lam)
     if lam.t == 1:
         return plain
-    factor = 2 if (lam.t == 0 and sigma(lam) != lam) else 1
-    out = Decomposition(lam.t)
-    seen: set[WeightDiagram] = set()
-    for nu, g in plain.components.items():
-        key = nu.with_sign(None)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.add(key, GradedMult(factor * g.d0, factor * g.d1))
-    return out
+    # one unsigned key per component: its two signings share a multiplicity
+    factor = 2 if lam.sign else 1
+    return Decomposition(lam.t, {nu.with_sign(None): GradedMult(factor * d0, factor * d1)
+                                 for nu, (d0, d1) in plain.components.items()})

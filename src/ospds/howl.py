@@ -15,17 +15,17 @@ them, or returns a core-free diagram as it is.
 diagram it re-distributes the crosses over the core's free slots.  Under a
 zero core the sign decides, by unfolding, whether one stack cross spills
 onto the first free slot, which is the only ambiguity the forward map
-collapses.  An unsigned t=0 diagram with a bare zero position stands for
-both of its signings: each lift is built once, unchecked and with its final
-sign, and the public ``unhowl`` checks the lifts.  The reduction lifts
-nothing: it finds the arcs in the compacted diagram and erases their crosses
-in the block's own diagram.
+collapses.  An unsigned diagram whose lift the one sign rule,
+``diagram._needs_sign``, signs lifts to both signings: each lift is built
+once, unchecked and with its final sign, and the public ``unhowl`` checks
+the lifts.  The reduction lifts nothing: it finds the arcs in the compacted
+diagram and erases their crosses in the block's own diagram.
 """
 
 from __future__ import annotations
 
 from .diagram import (CROSS, EMPTY, GT, LT, DomainError, WeightDiagram,
-                      _fold, _unfold, check_valid, fmt, validate)
+                      _fold, _needs_sign, _unfold, check_valid, fmt, validate)
 
 
 class UnhowlError(DomainError):
@@ -86,8 +86,8 @@ def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
 
 def _unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
     """:func:`unhowl` of a core ``g`` and a core-free ``h`` of the same type,
-    unchecked; an unsigned t=0 ``h`` with a bare zero position stands for
-    both of its signings.  Each lift is built once, with its final sign."""
+    unchecked; an unsigned ``h`` whose lift :func:`_needs_sign` signs stands
+    for both signings.  Each lift is built once, with its final sign."""
     stack, fill, sign = h.zero_crosses, h.tail_symbols, h.sign
     if h.t != 2 and g.zero_core is not None:
         # position 0 of ``h`` unfolds onto the core's first free slot
@@ -98,9 +98,8 @@ def _unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:
     *cores, last = g.tail_symbols.split(EMPTY)
     fill = fill.ljust(len(cores), EMPTY)
     tail = "".join(c + s for c, s in zip(cores, fill)) + last + fill[len(cores):]
-    signs = [sign]
-    if sign is None and g.t == 0 and not stack and (GT in tail or CROSS in tail):
-        signs = ["+", "-"]
+    signs = ["+", "-"] if sign is None and _needs_sign(g.t, stack, g.zero_core, tail) \
+        else [sign]
     return [WeightDiagram._trusted(g.t, stack, g.zero_core, tail, s) for s in signs]
 
 

@@ -18,9 +18,9 @@ single-diagram semantics throughout.
 Only the two inputs are diagrams, and only they are checked.  The recursion
 runs on plain fields: the compacted zero stack, tail and sign that
 :func:`ospds.howl._compact` returns, with the block type and the zero ``>``
-of type 2 implied; ``p`` is the source's stack and ``i`` the target's.  A
-diagram is built from fields only to print a trace step, and only when a
-trace is asked for.
+of type 2 implied; ``p`` is the source's stack and ``i`` the target's.
+Trace targets are fields or diagrams, never text; fields become a diagram,
+written by ``fmt``, only when a trace is asked for.
 
 This is the package's second, arc-free route to the same numbers; the test
 suite checks it against the arc formula componentwise.
@@ -35,6 +35,8 @@ from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _fold,
 from .ds import GradedMult, ZERO
 from .howl import _compact
 
+_EMPTY_TARGET = (0, "", None)  # ``o``, or the bare zero ``>`` of type 2
+
 
 @dataclass
 class Step:
@@ -47,8 +49,8 @@ class Step:
 
 
 def _note(trace: list[Step] | None, rule: str, t: int, f, g) -> None:
-    """Record a step; ``f`` and ``g`` are diagrams, fields of type ``t`` or
-    text, and fields become a diagram here only."""
+    """Record a step; ``f`` and ``g`` are diagrams or fields of type ``t``,
+    never text, and fields become a diagram here only."""
     if trace is not None:
         trace.append(Step(rule, _show(t, f), _show(t, g)))
 
@@ -56,7 +58,7 @@ def _note(trace: list[Step] | None, rule: str, t: int, f, g) -> None:
 def _show(t: int, x) -> str:
     if isinstance(x, tuple):
         x = WeightDiagram._trusted(t, x[0], GT if t == 2 else None, x[1], x[2])
-    return fmt(x) if isinstance(x, WeightDiagram) else x
+    return fmt(x)
 
 
 def _base(stack: int, tail: str, scale: int) -> GradedMult:
@@ -106,7 +108,7 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
         return _reduce_odd(p, tail, sign, i, gsign, trace)
     if t == 0:
         if i == 0:
-            _note(trace, "base even", 0, (p, tail, sign), EMPTY)
+            _note(trace, "base even", 0, (p, tail, sign), _EMPTY_TARGET)
             return _base(p, tail, 1)
         return _even_stack(p, tail, sign, i, trace)
     return _type2(p, tail, i, trace, double_bare=True)
@@ -116,7 +118,7 @@ def _reduce_odd(p: int, tail: str, sign: str | None, i: int, gsign: str | None,
                 trace: list[Step] | None) -> GradedMult:
     """Odd-series source against the bare-stack target of size i."""
     if i == 0:
-        _note(trace, "base odd", 1, (p, tail, sign), EMPTY)
+        _note(trace, "base odd", 1, (p, tail, sign), _EMPTY_TARGET)
         return _base(p, tail, 2)
     if gsign == "+":
         sign, gsign = {"+": "-", "-": "+"}.get(sign), "-"
@@ -137,7 +139,7 @@ def _reduce_odd(p: int, tail: str, sign: str | None, i: int, gsign: str | None,
         _note(trace, "gap too short", 1, (p, tail, sign), (i, "", gsign))
         return ZERO
     tail = tail[2 * i:]
-    _note(trace, rule, 1, (stack, tail, sign), EMPTY)
+    _note(trace, rule, 1, (stack, tail, sign), _EMPTY_TARGET)
     return _base(stack, tail, 2)
 
 
@@ -146,9 +148,9 @@ def _even_stack(p: int, tail: str, sign: str | None, i: int,
     """Even-series source against the bare-stack target of size i >= 1:
     trade one stack cross for the zero ``>`` and continue in type 2."""
     if p == 0 or tail[:1] == CROSS:
-        _note(trace, "stack mismatch", 0, (p, tail, sign), f"x^{i}")
+        _note(trace, "stack mismatch", 0, (p, tail, sign), (i, "", None))
         return ZERO
-    _note(trace, "to type 2", 2, (p - 1, tail[1:], None), f"x^{i - 1}/>")
+    _note(trace, "to type 2", 2, (p - 1, tail[1:], None), (i - 1, "", None))
     return _type2(p - 1, tail[1:], i - 1, trace, double_bare=False)
 
 
@@ -158,11 +160,11 @@ def _type2(p: int, tail: str, i: int, trace: list[Step] | None,
     if i >= 1:
         j = tail.find(CROSS)
         if p < i or 0 <= j < 2 * i:
-            _note(trace, "stack mismatch", 2, (p, tail, None), f"x^{i}/>")
+            _note(trace, "stack mismatch", 2, (p, tail, None), (i, "", None))
             return ZERO
         p, tail = p - i, tail[2 * i:]
-        _note(trace, "shorten gap", 2, (p, tail, None), GT)
+        _note(trace, "shorten gap", 2, (p, tail, None), _EMPTY_TARGET)
     # target is the bare ``>``: drop it and return to the even series
     stack, tail, _ = _fold(p, tail)
-    _note(trace, "drop zero >", 0, (stack, tail, None), EMPTY)
+    _note(trace, "drop zero >", 0, (stack, tail, None), _EMPTY_TARGET)
     return _base(stack, tail, 2 if double_bare and stack == 0 else 1)

@@ -32,6 +32,11 @@ reduction at every rank.
 ``es_dotted`` is the dotted-cup conversion of :mod:`ospds.arcs` with its own
 cup matcher over sets of positions, quadratic in the nesting depth, where
 the library reads the cups off the arcs of one recast diagram.
+
+``is_stable``, ``pari`` and ``ds_osp`` are those of the library as they
+were before each read its rule off the tail: the first two compare position
+tuples (``cross_positions``, ``core_positions``), and ``ds_osp`` drops the
+second signing of each component through a ``seen`` set.
 """
 
 import math
@@ -42,10 +47,22 @@ from ospds.arcs import (DottedArcs, _build_arcs, _erase, _sweep, free_left,
 from ospds.diagram import (CORE_SYMBOLS, CROSS, EMPTY, GT, LT, DomainError,
                            WeightDiagram, _fold, atypicality, build, check_valid,
                            core_of, enumerate_corefree, fmt, sigma)
-from ospds.ds import ONE, ZERO, Decomposition, GradedMult, _filters, _weight
+from ospds.ds import ONE, ZERO, Decomposition, GradedMult, _filters, _weight, ds1
 from ospds.howl import UnhowlError, _howl, _unhowl, howl, unhowl
 from ospds.oracle import Step
 from ospds.translate import trans_swap
+
+
+def cross_positions(d: WeightDiagram) -> tuple[int, ...]:
+    """Positive positions holding a cross (the zero stack is separate)."""
+    return tuple(p for p, s in enumerate(d.tail_symbols, 1) if s == CROSS)
+
+
+def core_positions(d: WeightDiagram) -> tuple[int, ...]:
+    """All positions holding a core symbol, including 0 for the zero core."""
+    out = [0] if d.zero_core is not None else []
+    out.extend(p for p, s in enumerate(d.tail_symbols, 1) if s in CORE_SYMBOLS)
+    return tuple(out)
 
 
 def gm_mul(x: GradedMult, y: GradedMult) -> GradedMult:
@@ -147,6 +164,12 @@ def _note(trace: list[Step] | None, rule: str, f, g) -> None:
         trace.append(Step(rule, src, tgt))
 
 
+def _stack_target(t: int, i: int) -> WeightDiagram:
+    """The bare stack of ``i`` crosses a target is left with, over the zero
+    ``>`` for t=2."""
+    return WeightDiagram._trusted(t, i, GT if t == 2 else None, "", None)
+
+
 def _gap_after_zero(d: WeightDiagram) -> float:
     """Length of the empty run starting at position 1 (inf when no cross
     follows; the input is core-free, so only a cross can end the run)."""
@@ -193,7 +216,7 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
     # diagrams lose those two positions; the target has nothing right of u,
     # so what is left of it is a prefix
     tail = f.tail_symbols
-    for u in reversed(g.cross_positions()):
+    for u in reversed(cross_positions(g)):
         if tail[u - 1:u + 1] not in (CROSS + EMPTY, CROSS):
             if trace is not None:
                 _note(trace, "no cross/empty", f.with_tail(tail),
@@ -252,10 +275,10 @@ def _even_stack(f: WeightDiagram, i: int,
     """Even-series source against the bare-stack target of size i >= 1:
     trade one stack cross for the zero ``>`` and continue in type 2."""
     if f.zero_crosses == 0 or f.sym(1) == CROSS:
-        _note(trace, "stack mismatch", f, f"x^{i}")
+        _note(trace, "stack mismatch", f, _stack_target(0, i))
         return ZERO
     f2 = WeightDiagram._trusted(2, f.zero_crosses - 1, GT, f.tail_symbols[1:], None)
-    _note(trace, "to type 2", f2, f"x^{i - 1}/>")
+    _note(trace, "to type 2", f2, _stack_target(2, i - 1))
     return _type2(f2, i - 1, trace, double_bare=False)
 
 
@@ -266,7 +289,7 @@ def _type2(f: WeightDiagram, i: int, trace: list[Step] | None,
         p = f.zero_crosses
         j = _gap_after_zero(f)
         if p < i or j < 2 * i:
-            _note(trace, "stack mismatch", f, f"x^{i}/>")
+            _note(trace, "stack mismatch", f, _stack_target(2, i))
             return ZERO
         f = _drop_prefix(f, 2 * i, p - i, None)
         _note(trace, "shorten gap", f, ">")
@@ -318,10 +341,10 @@ def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
     cur = d
     moves: list[int] = []
     while True:
-        crosses = list(cur.cross_positions())
+        crosses = list(cross_positions(cur))
         if cur.zero_crosses:
             crosses.append(0)
-        movable = [p for p in cur.core_positions()
+        movable = [p for p in core_positions(cur)
                    if not (cur.t in (0, 2) and p == 0)]
         violating = [p for p in movable if any(x >= p for x in crosses)]
         if not violating:
@@ -351,7 +374,7 @@ def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
     keep = 1 if sign == "+" and stack > 0 else 0
     removed = stack - keep
 
-    cross_set = set(h.cross_positions()) | ({0} if keep else set())
+    cross_set = set(cross_positions(h)) | ({0} if keep else set())
     used: set[int] = set()
 
     def match(a: int) -> int:
@@ -401,3 +424,44 @@ def dim_from_shifted(N: int, a: list[Fraction]) -> int:
     if dim.denominator != 1 or dim <= 0:
         raise DomainError("weight is not dominant for so_%d" % N)
     return int(dim)
+
+
+def is_stable(d: WeightDiagram) -> bool:
+    """True when every cross strictly precedes every core symbol, the zero
+    ``>`` of the even series being exempt."""
+    cores = [p for p in core_positions(d) if not (d.t in (0, 2) and p == 0)]
+    if not cores:
+        return True
+    first_core = min(cores)
+    crosses = list(cross_positions(d))
+    if d.zero_crosses:
+        crosses.append(0)
+    return all(x < first_core for x in crosses)
+
+
+def pari(d: WeightDiagram) -> int:
+    """The +-1 grading of a core-free diagram."""
+    if not d.is_core_free():
+        raise DomainError("pari is defined on core-free diagrams")
+    if d.t == 2:
+        total = sum(p - 1 for p in cross_positions(d) if p >= 2)
+    else:
+        total = sum(cross_positions(d))
+    return -1 if total % 2 else 1
+
+
+def ds_osp(lam: WeightDiagram) -> Decomposition:
+    """One reduction step for modules of the full orthosymplectic group."""
+    plain = ds1(lam)
+    if lam.t == 1:
+        return plain
+    factor = 2 if (lam.t == 0 and sigma(lam) != lam) else 1
+    out = Decomposition(lam.t)
+    seen: set[WeightDiagram] = set()
+    for nu, g in plain.components.items():
+        key = nu.with_sign(None)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.add(key, GradedMult(factor * g.d0, factor * g.d1))
+    return out

@@ -289,7 +289,7 @@ class TestDotted:
         da = es_dotted(P("+x^3x", 1), "B")
         assert fmt(da.base) == "+xxooxox"
         assert da.base.zero_crosses == 1
-        assert da.base.cross_positions() == (1, 4, 6)
+        assert reference.cross_positions(da.base) == (1, 4, 6)
         assert da.arcs == ((0, 3), (1, 2), (4, 5), (6, 7))
         assert sorted(da.dotted) == [4, 6]
 

@@ -82,6 +82,15 @@ class TestOracle:
         assert code == 0
         assert "compact" in out and out.strip().endswith("(0|2)")
 
+    @pytest.mark.parametrize("lam, line", [
+        ("+oxx", "stack mismatch   +oxx  /  x"),
+        ("x^2", "to type 2        x/>  /  >"),
+    ])
+    def test_trace_writes_stack_targets_as_diagrams(self, run, lam, line):
+        # an even-series target stack is a diagram that parse reads back
+        code, out, _ = run("oracle", lam, "x", "--t", "0", "--trace")
+        assert code == 0 and line in out.splitlines()
+
 
 class TestOtherCommands:
     def test_parse_diagram(self, run):
@@ -207,8 +216,8 @@ def test_weight_fuzz_never_raises(head, a, b):
     assert main(["parse", text]) in (0, 1, 2)
 
 
-# paths no other test pins: plain-text es, --osp above rank 1, and each
-# validate message
+# paths no other test pins: plain-text es, --osp above rank 1, each
+# validate message and an unhowl misfit under a zero '<'
 _UNPINNED = [
     (["es", "+x^3x", "--t", "1", "--series", "B"], 0,
      "+xxooxox\narc(0;3)\narc(1;2)\narc(4;5) dotted\narc(6;7) dotted\n", ""),
@@ -231,6 +240,8 @@ _UNPINNED = [
      "violation: t=1 diagram with a bare zero stack must carry a sign\n", ""),
     (["validate", "+>", "--t", "1"], 1,
      "violation: sign present but the zero position is not a bare stack\n", ""),
+    (["unhowl", "<", "-ox", "--t", "0"], 1, "", "error: '-ox' does not fit into core '<': "
+     "t=0 forbids '<' at the zero position unless the diagram has no '>' and no 'x' at all\n"),
 ]
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 
 import reference
 from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality, build,
-                           core_of, enumerate_corefree, fmt, is_stable, sigma,
-                           validate)
+                           core_of, enumerate_corefree, fmt, is_stable, pari,
+                           sigma, validate)
 from ospds.ds import Decomposition, GradedMult, check_purity, ds1, ds_osp, dsr
 from ospds.howl import UnhowlError, _howl, howl, tau, unhowl
 from ospds.translate import stabilize
@@ -393,6 +393,42 @@ class TestOsp:
     def test_odd_series_matches_plain_reduction(self):
         lam = P("+xoox", 1)
         assert ds_osp(lam).components == ds1(lam).components
+
+
+def _same_as_the_old_rules(lam):
+    """``is_stable``, ``pari`` and ``ds_osp`` agree with the rules they
+    replaced, component order included; ``pari`` of a core refuses in both."""
+    assert is_stable(lam) == reference.is_stable(lam), fmt(lam)
+    try:
+        want = reference.pari(lam)
+    except DomainError:
+        with pytest.raises(DomainError, match="core-free"):
+            pari(lam)
+    else:
+        assert pari(lam) == want, fmt(lam)
+    assert list(ds_osp(lam).components.items()) \
+        == list(reference.ds_osp(lam).components.items()), fmt(lam)
+
+
+class TestAgainstTheOldRules:
+    """Stability and grading read off the tail, and ``ds_osp`` without a
+    ``seen`` set, against the position-tuple rules they replaced."""
+
+    def test_pool_and_lifts(self, corefree_pool, small_cores):
+        for h in corefree_pool:
+            _same_as_the_old_rules(h)
+            for g in small_cores[h.t]:
+                try:
+                    lifts = unhowl(g, h)
+                except UnhowlError:
+                    continue
+                for lam in lifts:
+                    _same_as_the_old_rules(lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=diagrams())
+    def test_random_diagrams(self, lam):
+        _same_as_the_old_rules(lam)
 
 
 @pytest.mark.parametrize("call, message", [

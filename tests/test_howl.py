@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings
 
+import reference
 from ospds.diagram import (DomainError, atypicality, core_of,
                            enumerate_corefree, fmt, is_stable, tail_length,
                            validate)
@@ -66,7 +67,8 @@ class TestHowl:
                                          {p: CROSS for p in erased})
                         want = howl(f)
                         assert skeleton.zero_crosses == want.zero_crosses
-                        assert skeleton.cross_positions() == want.cross_positions()
+                        assert reference.cross_positions(skeleton) \
+                            == reference.cross_positions(want)
 
     @settings(max_examples=300, deadline=None)
     @given(d=diagrams())

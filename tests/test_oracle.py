@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from ospds.diagram import (EMPTY, DomainError, atypicality, core_of, enumerate_corefree,
-                           fmt, sigma, validate)
+from ospds.diagram import (EMPTY, DomainError, ParseError, atypicality, core_of,
+                           enumerate_corefree, fmt, parse, sigma, validate)
 from ospds.ds import ZERO, GradedMult, ds1, dsr
 from ospds.howl import UnhowlError, howl, tau, unhowl
 from ospds.oracle import Step, oracle_mult1
@@ -169,7 +169,18 @@ def _same_as_the_reference(lam, nu):
     assert oracle_mult1(lam, nu) == oracle_mult1(lam, nu, got) \
         == reference.oracle_mult1(lam, nu, want), (fmt(lam), fmt(nu))
     assert [str(s) for s in got] == [str(s) for s in want], (fmt(lam), fmt(nu))
+    # every target is written as a diagram, in text that parse reads back
+    for step in got:
+        assert any(_parses(step.target, t) for t in (0, 1, 2)), (str(step), fmt(lam))
     return got[-1].rule
+
+
+def _parses(text, t):
+    try:
+        parse(text, t)
+    except (ParseError, DomainError):
+        return False
+    return True
 
 
 class TestAgainstTheReference:
@@ -235,6 +246,19 @@ class TestComposedSteps:
             for lam in enumerate_corefree(t, k, 7):
                 self._matches(lam)
 
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_wide_pool(self, t):
+        # the width-9 pool beyond the width-7 one of test_pool
+        for k in range(5):
+            for lam in enumerate_corefree(t, k, 9):
+                if lam.width > 7:
+                    self._matches(lam)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam=diagrams().filter(lambda d: atypicality(d) <= 4 and howl(d).width <= 12))
+    def test_random_diagrams(self, lam):
+        self._matches(lam)
+
     def test_cored_lifts(self, small_cores):
         for t, cores in small_cores.items():
             for g in cores:
@@ -259,7 +283,7 @@ def _erased_lifts(lam):
     cross of its compacted diagram, in every valid signing."""
     h, core = howl(lam), core_of(lam)
     out = set()
-    for p in h.cross_positions():
+    for p in reference.cross_positions(h):
         bare = h.with_tail(h.tail_symbols[:p - 1] + EMPTY + h.tail_symbols[p:])
         for sign in (None, "+", "-"):
             if not validate(bare.with_sign(sign)):

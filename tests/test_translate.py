@@ -98,7 +98,7 @@ class TestStabilize:
                         st, moves = stabilize(f)
                         assert is_stable(st), (fmt(f), fmt(st))
                         assert howl(st) == howl(f)
-                        n_core = len(f.core_positions())
+                        n_core = len(reference.core_positions(f))
                         assert len(moves) <= n_core * (f.width + n_core + 2)
 
     def test_matches_the_reference_on_small_lifts(self, small_cores):
