@@ -25,11 +25,9 @@ tightness test of :mod:`ospds.ds`.  The sweep builds every arc only when
 asked to; they are stored zero-stack arcs first, innermost first, then by
 support.
 
-:func:`remove_arc` leaves an even-series diagram unsigned: when its zero
-position is bare, the unsigned diagram stands for both of its signings.  The
-reduction of :mod:`ospds.ds` reads only the arcs off the compacted diagram:
-it erases their crosses in the block's own diagram and signs each component
-by the one sign rule.
+:func:`maximal_arcs`, :func:`free_left` and :func:`remove_arc` stay only
+for the benchmark's tracer, and :func:`remove_arc` returns even-series
+results unsigned.
 """
 
 from __future__ import annotations
@@ -122,24 +120,18 @@ def maximal_arcs(diagram: ArcDiagram) -> list[Arc]:
 
 
 def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
-    """Erase a maximal arc together with its supporting cross; an
-    even-series result is unsigned (see the module docstring)."""
+    """Erase a maximal arc and its cross; an even-series result is unsigned,
+    standing for both signings when its zero position is bare."""
     if arc not in diagram.roots:
         raise DomainError("only maximal arcs can be removed")
-    return _erase(diagram.base, [arc.support])
-
-
-def _erase(d: WeightDiagram, supports: list[int]) -> WeightDiagram:
-    """Erase the crosses at ``supports``, each 0 the top of the zero stack.
-    An odd-series sign survives while the stack stays non-empty; an
-    even-series result is unsigned, standing for both signings when its
-    zero position is bare."""
-    stack = d.zero_crosses - supports.count(0)
-    tail = list(d.tail_symbols)
-    for p in supports:
-        if p:
-            tail[p - 1] = EMPTY
-    return WeightDiagram._trusted(d.t, stack, d.zero_core, "".join(tail),
+    d, p = diagram.base, arc.support
+    stack, tail = d.zero_crosses, d.tail_symbols
+    if p:
+        tail = tail[:p - 1] + EMPTY + tail[p:]
+    else:
+        stack -= 1
+    # an odd-series sign survives while the stack stays non-empty
+    return WeightDiagram._trusted(d.t, stack, d.zero_core, tail,
                                   d.sign if stack and d.t == 1 else None)
 
 

@@ -3,7 +3,8 @@
 Every subcommand that reads a diagram takes ``--t {0,1,2}``; a diagram string
 alone cannot always decide the series (a leading ``>`` is a type-1 core
 symbol or the type-2 marker).  Exit codes: 0 success, 1 domain error, 2 usage
-or parse error (with the grammar printed).  All output is deterministic.
+or parse error (with the grammar printed).  All output is deterministic, and
+every integer prints in full, however many digits it has.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and never changed afterwards: argparse keeps no state between
@@ -122,15 +123,6 @@ def _print_decomposition(dec: Decomposition, source: WeightDiagram, rank: int,
         print(f"{fmt(d):<20} {g}")
 
 
-def _decimal(n: int) -> str:
-    """``str(n)``, which refuses ints of more than 4,300 digits, in chunks."""
-    chunk = 10 ** 4000
-    if abs(n) < chunk:
-        return str(n)
-    high, low = divmod(abs(n), chunk)
-    return ("-" if n < 0 else "") + _decimal(high) + str(low).zfill(4000)
-
-
 def _shield_signed_diagrams(argv: list[str]) -> list[str]:
     """Keep argparse from reading a '-'-signed diagram as a flag.  A leading
     space is harmless: the diagram parser strips it."""
@@ -160,6 +152,9 @@ def _run(argv: list[str]) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 2
 
+    # print every integer in full; argparse has read the flags under the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _dispatch(args)
     except ParseError as e:
@@ -169,6 +164,8 @@ def _run(argv: list[str]) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _dispatch(args) -> int:
@@ -287,7 +284,7 @@ def _dispatch(args) -> int:
 
     if cmd == "sdim":
         d = _parse_diagram(args.diagram, args.t)
-        print(_decimal(superdimension(d, args.m, args.n)))
+        print(superdimension(d, args.m, args.n))
         return 0
 
     if cmd == "enumerate":

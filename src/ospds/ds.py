@@ -74,9 +74,6 @@ class Decomposition:
     t: int
     components: dict[WeightDiagram, GradedMult] = field(default_factory=dict)
 
-    def add(self, d: WeightDiagram, g: GradedMult) -> None:
-        self.components[d] = self.components.get(d, ZERO) + g
-
     def get(self, d: WeightDiagram) -> GradedMult:
         return self.components.get(d, ZERO)
 

@@ -3,9 +3,12 @@
 The reduction by iterated single steps is the reference for the
 order-filter route of :mod:`ospds.ds`.
 
-One step lists, for every maximal arc of the compacted diagram, the diagram
-left after removing it, lifted back into the block, with the graded
-multiplicity ``mult_rule`` reads off the free-left count ``e``.
+One step lists, for every root of the compacted diagram's arc forest and
+its free-left count ``e`` in ``ArcDiagram.roots``, the diagram ``_erase``
+leaves after erasing the root's cross, lifted back into the block, with the
+graded multiplicity ``mult_rule`` reads off ``e``.  ``_erase`` erases any
+set of crosses, as :mod:`ospds.arcs` did before ``remove_arc`` erased its
+one cross itself, and ``add`` adds up the multiplicity of a component.
 ``layers`` iterates the step over every intermediate state and composes the
 multiplicities in the parity-shift group ring.
 
@@ -42,8 +45,7 @@ second signing of each component through a ``seen`` set.
 import math
 from fractions import Fraction
 
-from ospds.arcs import (DottedArcs, _build_arcs, _erase, _sweep, free_left,
-                        maximal_arcs, remove_arc)
+from ospds.arcs import DottedArcs, _build_arcs, _sweep
 from ospds.diagram import (CORE_SYMBOLS, CROSS, EMPTY, GT, LT, DomainError,
                            WeightDiagram, _fold, atypicality, build, check_valid,
                            core_of, enumerate_corefree, fmt, sigma)
@@ -63,6 +65,25 @@ def core_positions(d: WeightDiagram) -> tuple[int, ...]:
     out = [0] if d.zero_core is not None else []
     out.extend(p for p, s in enumerate(d.tail_symbols, 1) if s in CORE_SYMBOLS)
     return tuple(out)
+
+
+def add(dec: Decomposition, d: WeightDiagram, g: GradedMult) -> None:
+    """Add ``g`` to the multiplicity of ``d`` in ``dec``."""
+    dec.components[d] = dec.get(d) + g
+
+
+def _erase(d: WeightDiagram, supports: list[int]) -> WeightDiagram:
+    """Erase the crosses at ``supports``, each 0 the top of the zero stack.
+    An odd-series sign survives while the stack stays non-empty; an
+    even-series result is unsigned, standing for both signings when its
+    zero position is bare."""
+    stack = d.zero_crosses - supports.count(0)
+    tail = list(d.tail_symbols)
+    for p in supports:
+        if p:
+            tail[p - 1] = EMPTY
+    return WeightDiagram._trusted(d.t, stack, d.zero_core, "".join(tail),
+                                  d.sign if stack and d.t == 1 else None)
 
 
 def gm_mul(x: GradedMult, y: GradedMult) -> GradedMult:
@@ -90,11 +111,11 @@ def _ds1(lam: WeightDiagram) -> Decomposition:
     g = core_of(lam)
     diagram = _build_arcs(_howl(lam))
     out = Decomposition(lam.t)
-    for arc in maximal_arcs(diagram):
-        mult = mult_rule(lam.t, free_left(diagram, arc))
-        for h2 in _sign_variants(remove_arc(diagram, arc)):
+    for arc, e in diagram.roots.items():
+        mult = mult_rule(lam.t, e)
+        for h2 in _sign_variants(_erase(diagram.base, [arc.support])):
             for nu in _unhowl(g, h2):
-                out.add(nu, mult)
+                add(out, nu, mult)
     return out
 
 
@@ -109,7 +130,7 @@ def layers(lam: WeightDiagram):
         nxt = Decomposition(lam.t)
         for nu, g in current.components.items():
             for nu2, g2 in _ds1(nu).components.items():
-                nxt.add(nu2, gm_mul(g, g2))
+                add(nxt, nu2, gm_mul(g, g2))
         current = nxt
 
 
@@ -140,7 +161,7 @@ def lifted_dsr(lam: WeightDiagram, r: int) -> Decomposition:
         odd = sum(p - t2 for p in supports if p) % 2
         mult = GradedMult(0, w) if odd else GradedMult(w, 0)
         for nu in _unhowl(g, _erase(h, supports)):
-            out.add(nu, mult)
+            add(out, nu, mult)
     return out
 
 
@@ -463,5 +484,5 @@ def ds_osp(lam: WeightDiagram) -> Decomposition:
         if key in seen:
             continue
         seen.add(key)
-        out.add(key, GradedMult(factor * g.d0, factor * g.d1))
+        add(out, key, GradedMult(factor * g.d0, factor * g.d1))
     return out

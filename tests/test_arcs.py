@@ -189,10 +189,27 @@ def _roots_only_sweep_matches(h):
     _roots_match_the_reference(h)
 
 
+def _removals_match_the_reference(d):
+    """Removing each root erases its cross as the reference erasure does,
+    sign included."""
+    A = build_arcs(howl(d))
+    for a in A.roots:
+        assert remove_arc(A, a) == reference._erase(A.base, [a.support]), (fmt(d), a)
+
+
 class TestRemoveArc:
     def top(self, A):
         (arc,) = [a for a in maximal_arcs(A) if a.support == 0]
         return arc
+
+    def test_matches_the_reference_erasure(self, corefree_pool):
+        for h in corefree_pool:
+            _removals_match_the_reference(h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=diagrams())
+    def test_matches_the_reference_erasure_on_random_diagrams(self, lam):
+        _removals_match_the_reference(lam)
 
     def test_zero_stack_keeps_sign_while_non_empty(self):
         A = build_arcs(P("+x^3x", 1))

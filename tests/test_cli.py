@@ -351,6 +351,52 @@ def test_superdimension_longer_than_str_allows(run):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_ds_multiplicity_longer_than_str_allows(run, as_json):
+    # the one component o of the rank-1500 reduction has multiplicity
+    # (2^1499 1500! | 0), 4,566 digits
+    code, out, err = run("ds", "+" + "ox" * 1500, "--t", "0", "--rank", "1500",
+                         *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        mult = 2 ** 1499 * math.factorial(1500)
+        if as_json:
+            assert json.loads(out)["components"] == [{"diagram": "o", "d0": mult, "d1": 0}]
+        else:
+            assert out == f"{'o':<20} ({mult}|0)\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sdim", "+" + "ox" * 1500, "--t", "0", "--m", "1500", "--n", "1500"], 0),
+    (["ds", "-x^4000000", "--t", "1"], 1),
+    (["ds", "+q", "--t", "0"], 2),
+    (["ds", "x", "--t", "5"], 2),
+], ids=["success", "domain error", "parse error", "usage error"])
+def test_int_str_limit_is_restored(run, argv, code):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        assert run(*argv)[0] == code
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_long_numbers_in_a_weight_are_read_but_flags_keep_the_limit(run):
+    # numerator and denominator of 4,400 digits each, more than int() reads
+    # under the default limit: the value 1 (test_input_above_the_cap_exits_1
+    # pins that "9" * 5000 is still refused)
+    ones = "1" * 4400
+    assert run("parse", f"D 1 0 / {ones}/{ones} / -") == (0, "+o>  (t=0)\n", "")
+    # argparse reads --rank before the limit is lifted
+    code, out, err = run("ds", "+xoox", "--t", "1", "--rank", "9" * 5000)
+    assert (code, out) == (2, "") and "invalid int value" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["ds", "-x^4000000", "--t", "1"],
     ["ds", "x^" + "9" * 5000, "--t", "0"],

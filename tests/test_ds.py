@@ -109,7 +109,7 @@ class TestDsr:
         step = Decomposition(0)
         for nu, g in ds1(lam).components.items():
             for nu2, g2 in ds1(nu).components.items():
-                step.add(nu2, gm_mul(g, g2))
+                reference.add(step, nu2, gm_mul(g, g2))
         assert reference.dsr(lam, 2).components == step.components
         assert dsr(lam, 2).components == step.components
 
