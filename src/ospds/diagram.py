@@ -373,11 +373,16 @@ def enumerate_corefree(t: int, k: int, width: int) -> list[WeightDiagram]:
 
 
 def _iter_corefree(t: int, k: int, width: int):
-    """The diagrams of :func:`enumerate_corefree`, one at a time."""
+    """The diagrams of :func:`enumerate_corefree`, one at a time; refuses a
+    stack or a position that :func:`parse` would refuse."""
+    if type(k) is not int or type(width) is not int:
+        raise DomainError(f"k and width must be ints, got {k!r} and {width!r}")
     if k < 0:
         raise DomainError(f"k must be non-negative, got {k}")
     if width < k:
         raise DomainError("width must be at least k")
+    if k > MAX_WIDTH or width - 1 > MAX_WIDTH:
+        raise DomainError(f"k and width - 1 must not exceed the cap MAX_WIDTH = {MAX_WIDTH}")
     WeightDiagram(t)  # refuses a bad block type
     zero_core = GT if t == 2 else None
     for s in range(k, -1, -1):

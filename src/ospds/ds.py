@@ -97,6 +97,9 @@ def ds1(lam: WeightDiagram) -> Decomposition:
 
 def dsr(lam: WeightDiagram, r: int) -> Decomposition:
     """The rank-r reduction: one component per order filter of r arcs."""
+    # type(), not isinstance(), as the diagram constructor: True is no rank
+    if type(r) is not int:
+        raise DomainError(f"rank must be an int, got {r!r}")
     if r < 0:
         raise DomainError("rank must be non-negative")
     return _dsr(check_valid(lam), r)

@@ -27,6 +27,8 @@ def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
     zero core symbol to position 1 or back.
     """
     check_valid(d)
+    if type(a) is not int:
+        raise DomainError(f"the move position must be an int, got {a!r}")
     if a < 0:
         raise DomainError("positions are non-negative")
     if a == 0:
@@ -101,6 +103,8 @@ def shrink(d: WeightDiagram, u: int) -> WeightDiagram:
     """Delete positions ``u`` and ``u+1``, which must hold a cross and an
     empty; everything beyond shifts down two steps."""
     check_valid(d)
+    if type(u) is not int:
+        raise DomainError(f"shrink needs an int u, got {u!r}")
     if u < 1:
         raise DomainError("shrink needs u >= 1")
     if d.sym(u) != CROSS or d.sym(u + 1) != EMPTY:

@@ -12,13 +12,16 @@ of the last epsilon coefficient, or which zero-stack entry is +1/2).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import (CROSS, GT, LT, MAX_WIDTH, DomainError, ParseError,
-                      WeightDiagram, _check_counts, build, check_valid)
+from .diagram import (CROSS, EMPTY, GT, LT, MAX_WIDTH, DomainError, ParseError,
+                      WeightDiagram, _check_counts, _needs_sign, check_valid)
 
 Q = Fraction
+# the symbol at a position past 0 from its (epsilon, delta) coordinate counts
+_SYMBOL = {(0, 0): EMPTY, (1, 0): GT, (0, 1): LT, (1, 1): CROSS}
 
 
 @dataclass(frozen=True)
@@ -73,28 +76,16 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
     bcoord = [abs(x) - shift for x in w.b]
     if any(c > MAX_WIDTH for c in acoord + bcoord):
         raise DomainError(f"coordinate above the cap MAX_WIDTH = {MAX_WIDTH}")
-    gts: dict[int, int] = {}
-    lts: dict[int, int] = {}
-    for c in acoord:
-        gts[int(c)] = gts.get(int(c), 0) + 1
-    for c in bcoord:
-        lts[int(c)] = lts.get(int(c), 0) + 1
-
-    positions: dict[int, str] = {}
-    for p in sorted(set(gts) | set(lts)):
-        if p == 0:
-            continue
-        pair = (gts.get(p, 0), lts.get(p, 0))
-        if pair == (1, 0):
-            positions[p] = GT
-        elif pair == (0, 1):
-            positions[p] = LT
-        elif pair == (1, 1):
-            positions[p] = CROSS
-        else:
+    gts = Counter(int(c) for c in acoord)
+    lts = Counter(int(c) for c in bcoord)
+    symbols = []
+    for p in range(1, int(max(acoord + bcoord, default=0)) + 1):
+        pair = (gts[p], lts[p])
+        if pair not in _SYMBOL:
             raise DomainError(f"not dominant: {pair[0]} epsilon and {pair[1]} delta "
                               f"coordinates collide at position {p}")
-    g0, l0 = gts.get(0, 0), lts.get(0, 0)
+        symbols.append(_SYMBOL[pair])
+    g0, l0 = gts[0], lts[0]
     stack = min(g0, l0)
     if stack > MAX_WIDTH:
         raise DomainError(f"zero stack above the cap MAX_WIDTH = {MAX_WIDTH}")
@@ -106,25 +97,21 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
     elif (g0 - stack, l0 - stack) != (0, 0):
         raise DomainError("not dominant: too many coordinates at the zero position")
 
-    sign = None
+    # the sign the weight reads, applied where the sign rule asks for one
     if w.series == "D":
-        if zero_core == GT:
-            t = 2
-        else:
-            t = 0
-            if zero_core == LT and w.m > 0:
-                raise DomainError("not dominant: '<' at the zero position needs m = 0")
-        if t == 0 and stack == 0 and zero_core is None and w.m >= 1:
-            sign = "+" if w.a[-1] > 0 else "-"
+        t = 2 if zero_core == GT else 0
+        if zero_core == LT and w.m > 0:
+            raise DomainError("not dominant: '<' at the zero position needs m = 0")
+        plus = bool(w.a) and w.a[-1] > 0
     else:
         t = 1
-        plus_half = Q(1, 2) in w.a
-        if zero_core == GT and not plus_half:
+        plus = Q(1, 2) in w.a
+        if zero_core == GT and not plus:
             raise DomainError("not dominant: an unpaired zero '>' needs an "
                               "epsilon coefficient +1/2")
-        if stack and zero_core is None:
-            sign = "+" if plus_half else "-"
-    return check_valid(build(t, stack, zero_core, positions, sign))
+    tail = "".join(symbols)
+    sign = ("+" if plus else "-") if _needs_sign(t, stack, zero_core, tail) else None
+    return check_valid(WeightDiagram(t, stack, zero_core, tail, sign))
 
 
 def diagram_to_weight(d: WeightDiagram, m: int, n: int) -> DominantWeight:

@@ -107,8 +107,8 @@ class TestOtherCommands:
         assert code == 1 and "violation" in out
 
     def test_core_howl(self, run):
-        assert run("core", "x>", "--t", "0")[1].strip() == "+o>"
-        assert run("howl", "<x<x", "--t", "1")[1].strip() == "+xx"
+        assert run("core", "x>", "--t", "0") == (0, "+o>\n", "")
+        assert run("howl", "<x<x", "--t", "1") == (0, "+xx\n", "")
 
     def test_unhowl(self, run):
         code, out, _ = run("unhowl", "+o>", "o", "--t", "0")
@@ -122,8 +122,8 @@ class TestOtherCommands:
         assert "'<'" in err and "'+ox'" in err
 
     def test_tau(self, run):
-        assert run("tau", ">xoox", "--t", "2")[1].strip() == "+xoox"
-        assert run("tau", "+xoox", "--t", "1", "--inverse")[1].strip() == ">xoox"
+        assert run("tau", ">xoox", "--t", "2") == (0, "+xoox\n", "")
+        assert run("tau", "+xoox", "--t", "1", "--inverse") == (0, ">xoox\n", "")
 
     def test_stabilize(self, run):
         code, out, _ = run("stabilize", ">x", "--t", "1")
@@ -147,6 +147,7 @@ class TestOtherCommands:
 
     def test_es(self, run):
         code, out, _ = run("es", "+x^3x", "--t", "1", "--series", "B", "--json")
+        assert code == 0
         data = json.loads(out)
         dotted = [(a["from"], a["to"]) for a in data["arcs"] if a["dotted"]]
         assert dotted == [(4, 5), (6, 7)]
@@ -406,6 +407,8 @@ def test_long_numbers_in_a_weight_are_read_but_flags_keep_the_limit(run):
     ["arcs", "-x^10000", "--t", "1", "--render"],
     ["es", "o" + "x" * 4999 + "o" * 4999, "--t", "1", "--series", "B", "--render"],
     ["stabilize", ">" * 6666 + "x" * 3333, "--t", "1"],
+    ["enumerate", "--t", "1", "-k", "1", "--width", "10003"],
+    ["enumerate", "--t", "0", "-k", "10001", "--width", "10001"],
 ])
 def test_input_above_the_cap_exits_1(run, argv):
     code, out, err = run(*argv)
@@ -446,6 +449,13 @@ _COMMANDS = {
     "sdim": (1, ["--t", "--m", "--n"], []),
     "enumerate": (0, ["--t", "-k", "--width"], []),
 }
+
+
+@pytest.mark.parametrize("cmd", [[]] + [[cmd] for cmd in _COMMANDS],
+                         ids=["ospds"] + list(_COMMANDS))
+def test_help_of_every_subcommand(run, cmd):
+    code, out, err = run(*cmd, "-h")
+    assert (code, err) == (0, "") and out.startswith(" ".join(["usage: ospds", *cmd, ""]))
 
 
 def _valid(text: str, t: str) -> bool:

@@ -257,6 +257,14 @@ def test_parse_format_round_trip_random(data, ):
     pytest.param(lambda: enumerate_corefree(3, 1, 4), "block type", id="enumerate t=3"),
     pytest.param(lambda: enumerate_corefree(0, -1, 4), "k must be non-negative, got -1",
                  id="enumerate k=-1"),
+    pytest.param(lambda: enumerate_corefree(1, 1.0, 4), "must be ints, got 1.0 and 4",
+                 id="enumerate k=1.0"),
+    pytest.param(lambda: enumerate_corefree(1, 1, True), "must be ints, got 1 and True",
+                 id="enumerate width=True"),
+    pytest.param(lambda: enumerate_corefree(1, 1, 10_002), "cap MAX_WIDTH = 10000",
+                 id="enumerate width=10002"),
+    pytest.param(lambda: enumerate_corefree(1, 10_001, 10_001), "cap MAX_WIDTH = 10000",
+                 id="enumerate k=10001"),
 ])
 def test_public_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):

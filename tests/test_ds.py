@@ -433,6 +433,10 @@ class TestAgainstTheOldRules:
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: dsr(P("+xoox", 1), -1), "rank must be non-negative", id="rank -1"),
+    pytest.param(lambda: dsr(P("+xoox", 1), 1.5), "rank must be an int, got 1.5",
+                 id="rank 1.5"),
+    pytest.param(lambda: dsr(P("+xoox", 1), True), "rank must be an int, got True",
+                 id="rank True"),
 ])
 def test_public_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):

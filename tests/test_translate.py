@@ -153,6 +153,10 @@ class TestShrinkPhi:
     pytest.param(lambda: trans_swap(P("+o>x", 0), 0), "the zero move exists for t=1 only",
                  id="zero move at t=0"),
     pytest.param(lambda: shrink(P("-x^2oxoox", 1), 0), "shrink needs u >= 1", id="shrink at 0"),
+    pytest.param(lambda: trans_swap(P(">x", 1), 1.0), "must be an int, got 1.0",
+                 id="swap at 1.0"),
+    pytest.param(lambda: shrink(P("-x^2oxoox", 1), 1.0), "needs an int u, got 1.0",
+                 id="shrink at 1.0"),
 ])
 def test_public_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):
