@@ -41,13 +41,14 @@ characters.  :func:`parse` refuses a zero stack or a width above
 The public constructor checks shape (``int`` fields, known symbols),
 :func:`validate` the block rules above, and :func:`_needs_sign` is the one
 sign rule.  Diagrams the library derives from valid ones are built through
-``WeightDiagram._trusted``, which skips the shape check; never for input.
+``WeightDiagram._trusted``, which skips the shape check and sets the five
+slots directly, through their descriptors; never for input.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 
@@ -112,12 +113,12 @@ class WeightDiagram:
     def _trusted(cls, t: int, zero_crosses: int, zero_core: str | None,
                  tail: str, sign: str | None) -> "WeightDiagram":
         """Unchecked construction from well-shaped fields, in canonical form."""
-        d, put, tail = object.__new__(cls), object.__setattr__, tail.rstrip(EMPTY)
-        put(d, "t", t)
-        put(d, "zero_crosses", zero_crosses)
-        put(d, "zero_core", zero_core)
-        put(d, "tail_symbols", tail)
-        put(d, "sign", sign if zero_crosses or zero_core or tail else None)
+        d, tail = object.__new__(cls), tail.rstrip(EMPTY)
+        _set_t(d, t)
+        _set_zero_crosses(d, zero_crosses)
+        _set_zero_core(d, zero_core)
+        _set_tail(d, tail)
+        _set_sign(d, sign if zero_crosses or zero_core or tail else None)
         return d
 
     # -- basic geometry ----------------------------------------------------
@@ -161,6 +162,11 @@ class WeightDiagram:
 
     def __str__(self) -> str:
         return fmt(self)
+
+
+# the slot descriptors' setters, which the frozen __setattr__ does not guard
+_set_t, _set_zero_crosses, _set_zero_core, _set_tail, _set_sign = (
+    getattr(WeightDiagram, f.name).__set__ for f in fields(WeightDiagram))
 
 
 def build(t: int, zero_crosses: int = 0, zero_core: str | None = None,
@@ -287,6 +293,9 @@ def check_valid(d: WeightDiagram) -> WeightDiagram:
 
 def _check_counts(d: WeightDiagram, m: int, n: int) -> int:
     """Check ``d`` and that it has the counts of osp(2m+t|2n); returns k."""
+    # type(), not isinstance(), as the constructor: True and 1.0 are no count
+    if type(m) is not int or type(n) is not int:
+        raise DomainError(f"m and n must be ints, got {m!r} and {n!r}")
     check_valid(d)
     k = atypicality(d)
     want_gt = m + 1 - k if d.t == 2 else m - k

@@ -23,6 +23,11 @@ forests, where s(a) is the size of a's subtree in F; in the whole forest
 s(a) = (reach - support + 1) / 2, because an arc's span holds nothing but
 crosses and the ends of arcs inside it.
 
+Rank 1 reads the table above straight off the roots of the sweep, one
+component per root, from ``_ROOT_MULT[t != 0][e == 0][odd]``, where odd is
+the parity of an off-zero support less 1 for t=2 (0 at the zero stack);
+:func:`_weight` serves rank 2 and up with W:
+
 * t = 1, 2: a step counts 2, or 1 when ``e`` is 0: when the arc is tight,
   the N arcs wholly to its left in the forest filling every position before
   its support (support 2N, or 2N + 1 for t=2; every zero-stack arc is
@@ -65,6 +70,9 @@ class GradedMult(NamedTuple):
 
 ZERO = GradedMult(0, 0)
 ONE = GradedMult(1, 0)
+# the rank-1 table of the module docstring: _ROOT_MULT[t != 0][e == 0][odd]
+_ROOT_MULT = (((ONE, GradedMult(0, 1)),) * 2,
+              ((GradedMult(2, 0), GradedMult(0, 2)), (ONE, GradedMult(0, 1))))
 
 
 @dataclass
@@ -113,9 +121,6 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
     if r > atypicality(lam):
         return out
     h = _howl(lam)
-    # r = 1: only the roots, tight when no free position lies left of the support
-    filters = ([[(a, 1, 0, e == 0)] for a, e in _sweep(h).items()]
-               if r == 1 else _filters(_build_arcs(h), r))
     t, stack, core, tail = lam.t, lam.zero_crosses, lam.zero_core, lam.tail_symbols
     # where the compacted positions lie in lam (see the module docstring)
     fold = 1 if t == 1 and core is not None else 0
@@ -125,7 +130,26 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
     spill = bisect_right(below, 0) if h.zero_crosses > stack else None
     t2 = t == 2
     components = out.components
-    for members in filters:
+    both = (lam.sign,) if t == 1 else ("+", "-")
+    if r == 1:
+        # each root is a component: erase its one cross, read the table
+        mults = _ROOT_MULT[t != 0]
+        for a, e in _sweep(h).items():
+            p, s, odd = a.support, stack, 0
+            if p:
+                q = p - 1 + fold
+                q += bisect_right(below, q)
+                erased = tail[:q] + EMPTY + tail[q + 1:]
+                odd = (p - t2) & 1
+            elif s:
+                erased, s = tail, s - 1
+            else:
+                erased = tail[:spill] + EMPTY + tail[spill + 1:]
+            mult = mults[e == 0][odd]
+            for sign in both if _needs_sign(t, s, core, erased) else (None,):
+                components[WeightDiagram._trusted(t, s, core, erased, sign)] = mult
+        return out
+    for members in _filters(_build_arcs(h), r):
         w = _weight(h, members)
         erased, s, odd = tail, stack, 0
         for a, _, _, _ in members:
@@ -140,10 +164,8 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
             else:
                 erased = erased[:spill] + EMPTY + erased[spill + 1:]
         mult = GradedMult(0, w) if odd else GradedMult(w, 0)
-        signs = ((lam.sign,) if t == 1 else ("+", "-")) \
-            if _needs_sign(t, s, core, erased) else (None,)
         # different filters erase different crosses: no component repeats
-        for sign in signs:
+        for sign in both if _needs_sign(t, s, core, erased) else (None,):
             components[WeightDiagram._trusted(t, s, core, erased, sign)] = mult
     return out
 
@@ -185,8 +207,6 @@ def _weight(h: WeightDiagram, members: list[tuple[Arc, int, int, bool]]) -> int:
     """Total multiplicity of the component that removing the filter
     ``members`` from ``h`` leaves (see the module docstring)."""
     r = len(members)
-    if r == 1:  # the table above: only a tight t=1, 2 root counts 1
-        return 1 if h.t == 0 or members[0][3] else 2
     num, den = math.factorial(r), math.prod(s for _, s, _, _ in members)
     if h.t == 0:
         chain = sorted(s for a, s, _, _ in members if a.support == 0)

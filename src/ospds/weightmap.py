@@ -38,6 +38,8 @@ class DominantWeight:
     def __post_init__(self):
         if self.series not in ("B", "D"):
             raise DomainError(f"series must be 'B' or 'D', got {self.series!r}")
+        if type(self.m) is not int or type(self.n) is not int:
+            raise DomainError(f"m and n must be ints, got {self.m!r} and {self.n!r}")
         object.__setattr__(self, "a", tuple(Q(x) for x in self.a))
         object.__setattr__(self, "b", tuple(Q(x) for x in self.b))
         if len(self.a) != self.m or len(self.b) != self.n:

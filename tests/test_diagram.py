@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from ospds.diagram import (CROSS, GT, LT, DomainError, ParseError,
                            core_of, enumerate_corefree, fmt,
                            is_stable, pari, parse, sigma, tail_length,
                            validate)
+from ospds.sdim import superdimension
 from conftest import P
 
 
@@ -46,6 +49,30 @@ class TestConstruction:
     def test_trusted_keeps_the_canonical_form(self):
         assert WeightDiagram._trusted(1, 2, None, "xoo", "-") == P("-x^2x", 1)
         assert WeightDiagram._trusted(0, 0, None, "ooo", "+") == WeightDiagram(0)
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param((1, 2, None, "xoo", "-"), id="t=1 trailing o"),
+        pytest.param((1, 0, "<", "xoxo", None), id="t=1 zero core"),
+        pytest.param((0, 0, None, "ooo", "+"), id="signed empty"),
+        pytest.param((0, 0, None, "oxoo", "-"), id="t=0 trailing o"),
+        pytest.param((0, 2, None, "o>x", None), id="t=0 stack"),
+        pytest.param((2, 1, ">", "oxoo", None), id="t=2 trailing o"),
+        pytest.param((2, 0, ">", "", None), id="t=2 bare"),
+    ])
+    def test_trusted_matches_the_public_constructor(self, fields):
+        trusted, public = WeightDiagram._trusted(*fields), WeightDiagram(*fields)
+        assert type(trusted) is WeightDiagram
+        assert dataclasses.astuple(trusted) == dataclasses.astuple(public)
+        assert trusted == public and hash(trusted) == hash(public)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(WeightDiagram)])
+    def test_trusted_diagrams_are_frozen(self, name):
+        d = WeightDiagram._trusted(1, 1, None, "xoo", "+")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, getattr(d, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(d, name)
+        assert d == P("+xx", 1)
 
     def test_with_sign_checks_the_sign(self):
         with pytest.raises(DomainError):
@@ -265,6 +292,8 @@ def test_parse_format_round_trip_random(data, ):
                  id="enumerate width=10002"),
     pytest.param(lambda: enumerate_corefree(1, 10_001, 10_001), "cap MAX_WIDTH = 10000",
                  id="enumerate k=10001"),
+    pytest.param(lambda: superdimension(P("+ox", 0), 1.0, 1),
+                 "m and n must be ints, got 1.0 and 1", id="superdimension m=1.0"),
 ])
 def test_public_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):

@@ -125,6 +125,10 @@ class TestParseWeight:
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: DominantWeight("B", 1, 1, (), ()), "lengths m and n", id="lengths"),
+    pytest.param(lambda: DominantWeight("D", True, 0, (1,), ()),
+                 "m and n must be ints, got True and 0", id="m=True"),
+    pytest.param(lambda: diagram_to_weight(P("+ox", 0), True, 1),
+                 "m and n must be ints, got True and 1", id="diagram_to_weight m=True"),
     pytest.param(lambda: weight_to_diagram(D(1, 0, [10_001], [])),
                  "coordinate above the cap", id="coordinate cap"),
     pytest.param(lambda: weight_to_diagram(D(10_001, 10_001, [0] * 10_001, [0] * 10_001)),
