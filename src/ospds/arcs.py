@@ -21,45 +21,45 @@ as it goes; it is the only matcher in the package, and the dotted cups of
 e = 0; a single-ended arc is a root when it closes inside no arc and past
 that top.  The N arcs left of a root fill two positions each, and position
 0 of a t=2 diagram holds ``>``, so e = support - 2N - [t = 2]: e = 0 is the
-tightness test of :mod:`ospds.ds`.  The sweep builds every arc only when
-asked to; they are stored zero-stack arcs first, innermost first, then by
-support.
+tightness test of :mod:`ospds.ds`.  A root is named by its support, which
+is unique: support 0 names the top zero-stack arc, the one zero-stack root.
+The sweep builds no arc, and reads no end of a double-ended arc, unless
+the arcs are asked for; they are stored zero-stack arcs first, innermost
+first, then by support.  :func:`maximal_arcs` maps the roots back to their
+arcs, for the ``arcs`` listing and :func:`arcs_json`.
 
-:func:`maximal_arcs`, :func:`free_left` and :func:`remove_arc` stay only
-for the benchmark's tracer, and :func:`remove_arc` returns even-series
-results unsigned.
+:func:`maximal_arcs`, :func:`free_left` and :func:`remove_arc` stay for
+the benchmark's tracer, and :func:`remove_arc` returns even-series results
+unsigned.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .diagram import CROSS, EMPTY, GT, DomainError, WeightDiagram, check_valid, fmt
 from .howl import howl
 
 
-class Arc(NamedTuple):
+class Arc(namedtuple("Arc", "support stack_index ends")):
     """One arc: its supporting cross and one or two right ends.  The sweep
     builds every arc: the ends increase, the support lies left of them, and
     only a zero-stack arc carries a stack index."""
 
-    support: int
-    stack_index: int
-    ends: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def reach(self) -> int:
         return self.ends[-1]
 
 
-class ArcDiagram(NamedTuple):
+class ArcDiagram(namedtuple("ArcDiagram", "base arcs roots")):
     """The arcs of a core-free diagram, sorted, and the roots of their
-    forest: each maximal arc, left to right, mapped to its free-left count
-    ``e``, the number of free positions strictly left of its support."""
+    forest: the support of each maximal arc, left to right, mapped to its
+    free-left count ``e``, the number of free positions strictly left of
+    its support."""
 
-    base: WeightDiagram
-    arcs: tuple[Arc, ...]
-    roots: dict[Arc, int]
+    __slots__ = ()
 
 
 def build_arcs(h: WeightDiagram) -> ArcDiagram:
@@ -76,53 +76,56 @@ def _build_arcs(h: WeightDiagram) -> ArcDiagram:
     return ArcDiagram(h, tuple(sorted(arcs)), roots)
 
 
-def _sweep(h: WeightDiagram, arcs: list[Arc] | None = None) -> dict[Arc, int]:
+def _sweep(h: WeightDiagram, arcs: list[Arc] | None = None) -> dict[int, int]:
     """The roots of the arc forest of a valid core-free diagram, left to
-    right, each mapped to its ``e``; every arc is appended to ``arcs`` when
-    a list is given."""
-    zero_single = 1 if h.t != 2 and h.zero_crosses else 0
-    taken = 2 * (h.zero_crosses - zero_single)  # ends of the double-ended arcs
+    right, each named by its support and mapped to its ``e``; every arc is
+    appended to ``arcs`` when a list is given."""
+    t, stack, _, tail, _ = h
+    zero_single = 1 if t != 2 and stack else 0
+    taken = 2 * (stack - zero_single)  # ends of the double-ended arcs
     supports = [0] if zero_single else []
     # empty positions no single-ended arc takes, 0 when it is bare
-    free = [] if h.t == 2 or h.zero_crosses else [0]
-    roots: dict[Arc, int] = {}
+    free = [] if t == 2 or stack else [0]
+    # the top double-ended arc comes first, with e = 0
+    roots = {0: 0} if taken else {}
     # enough trailing empties to close every single-ended arc
-    text = h.tail_symbols + EMPTY * (h.count(CROSS) - taken // 2)
+    text = tail + EMPTY * (tail.count(CROSS) + stack - taken // 2)
     for p, s in enumerate(text, 1):
         if s == CROSS:
             supports.append(p)
         elif supports:
             support = supports.pop()
-            root = not supports and len(free) >= taken  # past the zero stack's top
-            if root or arcs is not None:
-                arc = Arc(support, 0, (p,))
-                if root:
-                    roots[arc] = len(free) - taken
-                if arcs is not None:
-                    arcs.append(arc)
+            if not supports and len(free) >= taken:  # past the zero stack's top
+                roots[support] = len(free) - taken
+            if arcs is not None:
+                arcs.append(Arc(support, 0, (p,)))
         else:
             free.append(p)
-    if taken:
+    if taken and arcs is not None:
         # the double-ended arcs take the first free positions two at a time,
         # innermost first; past the text every position is free
         free.extend(range(len(text) + 1, len(text) + 1 + taken - len(free)))
-        first = 0 if arcs is not None else taken - 2  # else the top alone
-        doubles = [Arc(0, zero_single + i // 2, (free[i], free[i + 1]))
-                   for i in range(first, taken, 2)]
-        roots = {doubles[-1]: 0, **roots}
-        if arcs is not None:
-            arcs.extend(doubles)
+        arcs.extend(Arc(0, zero_single + i // 2, (free[i], free[i + 1]))
+                    for i in range(0, taken, 2))
     return roots
 
 
+def _root_arcs(diagram: ArcDiagram) -> dict[Arc, int]:
+    """The roots of ``diagram`` as arcs, left to right, each mapped to its
+    ``e``.  The arcs are sorted, so the last arc on support 0 is the top
+    zero-stack arc."""
+    arc = {a.support: a for a in diagram.arcs}
+    return {arc[p]: e for p, e in diagram.roots.items()}
+
+
 def maximal_arcs(diagram: ArcDiagram) -> list[Arc]:
-    return list(diagram.roots)
+    return list(_root_arcs(diagram))
 
 
 def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
     """Erase a maximal arc and its cross; an even-series result is unsigned,
     standing for both signings when its zero position is bare."""
-    if arc not in diagram.roots:
+    if arc not in _root_arcs(diagram):
         raise DomainError("only maximal arcs can be removed")
     d, p = diagram.base, arc.support
     stack, tail = d.zero_crosses, d.tail_symbols
@@ -137,9 +140,10 @@ def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
 
 def free_left(diagram: ArcDiagram, arc: Arc) -> int:
     """Number of free positions strictly left of a maximal arc's support."""
-    if arc not in diagram.roots:
+    roots = _root_arcs(diagram)
+    if arc not in roots:
         raise DomainError("free_left is defined for maximal arcs")
-    return diagram.roots[arc]
+    return roots[arc]
 
 
 # -- rendering ----------------------------------------------------------------
@@ -219,12 +223,11 @@ def arcs_json(diagram: ArcDiagram) -> dict:
 
 # -- dotted-cup conversion -----------------------------------------------------
 
-class DottedArcs(NamedTuple):
-    """Tailless companion diagram with its cup matching and dotted cups."""
+class DottedArcs(namedtuple("DottedArcs", "base arcs dotted")):
+    """Tailless companion diagram with its cup matching, as ``(from, to)``
+    pairs, and the supports of its dotted cups, a frozenset."""
 
-    base: WeightDiagram
-    arcs: tuple[tuple[int, int], ...]
-    dotted: frozenset[int]  # supports of the dotted cups
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

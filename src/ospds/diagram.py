@@ -41,14 +41,16 @@ characters.  :func:`parse` refuses a zero stack or a width above
 The public constructor checks shape (``int`` fields, known symbols),
 :func:`validate` the block rules above, and :func:`_needs_sign` is the one
 sign rule.  Diagrams the library derives from valid ones are built through
-``WeightDiagram._trusted``, which skips the shape check and sets the five
-slots directly, through their descriptors; never for input.
+``WeightDiagram._trusted``, which skips the shape check and makes the tuple
+of the five fields with one ``tuple.__new__``; never for input.  A diagram
+is a ``namedtuple`` subclass: its fields are read by C-level accessors, and
+it hashes and compares as the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from itertools import combinations
 
 
@@ -68,32 +70,36 @@ CORE_SYMBOLS = (GT, LT)
 MAX_WIDTH = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class WeightDiagram:
+_new = tuple.__new__
+
+
+class WeightDiagram(namedtuple("WeightDiagram",
+                                "t zero_crosses zero_core tail_symbols sign")):
     """Immutable weight diagram of block type ``t``.
 
     ``tail_symbols[i]`` is the symbol at position ``i + 1``.  Any iterable
     of symbols is joined into a string and trailing empties are trimmed on
-    construction, so equality and hashing are canonical.
+    construction, so equality and hashing are canonical.  A diagram is the
+    tuple of its five fields: it equals the plain tuple
+    ``(t, zero_crosses, zero_core, tail_symbols, sign)``, and unpacks,
+    indexes and compares as one.  Every way in from outside, ``_make``,
+    ``_replace``, ``pickle`` and ``copy`` included, goes through the checks.
     """
 
-    t: int
-    zero_crosses: int = 0
-    zero_core: str | None = None
-    tail_symbols: str = ""
-    sign: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, t: int, zero_crosses: int = 0, zero_core: str | None = None,
+                tail_symbols: str = "", sign: str | None = None):
         # type(), not isinstance(): True and 1.0 are no block type or stack
-        if type(self.t) is not int or self.t not in (0, 1, 2):
-            raise DomainError(f"block type must be 0, 1 or 2, got {self.t!r}")
-        if type(self.zero_crosses) is not int or self.zero_crosses < 0:
-            raise DomainError(f"zero_crosses must be an int >= 0, got {self.zero_crosses!r}")
-        if self.zero_core is not None and self.zero_core not in CORE_SYMBOLS:
+        if type(t) is not int or t not in (0, 1, 2):
+            raise DomainError(f"block type must be 0, 1 or 2, got {t!r}")
+        if type(zero_crosses) is not int or zero_crosses < 0:
+            raise DomainError(f"zero_crosses must be an int >= 0, got {zero_crosses!r}")
+        if zero_core is not None and zero_core not in CORE_SYMBOLS:
             raise DomainError("zero_core must be '>' or '<'")
-        if self.sign not in (None, "+", "-"):
-            raise DomainError(f"sign must be '+', '-' or None, got {self.sign!r}")
-        tail = self.tail_symbols
+        if sign not in (None, "+", "-"):
+            raise DomainError(f"sign must be '+', '-' or None, got {sign!r}")
+        tail = tail_symbols
         if not isinstance(tail, str):
             try:
                 tail = "".join(tail)
@@ -103,23 +109,23 @@ class WeightDiagram:
         bad = tail.lstrip("ox><")
         if bad:
             raise DomainError(f"bad symbol {bad[0]!r} (positions past 0 take o, x, >, <)")
-        object.__setattr__(self, "tail_symbols", tail.rstrip(EMPTY))
-        # the completely empty diagram is canonically unsigned
-        if self.sign is not None and not (self.zero_crosses or self.zero_core
-                                          or self.tail_symbols):
-            object.__setattr__(self, "sign", None)
+        tail = tail.rstrip(EMPTY)
+        # the completely empty diagram is canonically unsigned; tuple.__new__,
+        # not _trusted, which the tests replace with a spy
+        return _new(cls, (t, zero_crosses, zero_core, tail,
+                          sign if zero_crosses or zero_core or tail else None))
+
+    @classmethod
+    def _make(cls, fields) -> "WeightDiagram":
+        return cls(*fields)
 
     @classmethod
     def _trusted(cls, t: int, zero_crosses: int, zero_core: str | None,
                  tail: str, sign: str | None) -> "WeightDiagram":
         """Unchecked construction from well-shaped fields, in canonical form."""
-        d, tail = object.__new__(cls), tail.rstrip(EMPTY)
-        _set_t(d, t)
-        _set_zero_crosses(d, zero_crosses)
-        _set_zero_core(d, zero_core)
-        _set_tail(d, tail)
-        _set_sign(d, sign if zero_crosses or zero_core or tail else None)
-        return d
+        tail = tail.rstrip(EMPTY)
+        return _new(cls, (t, zero_crosses, zero_core, tail,
+                          sign if zero_crosses or zero_core or tail else None))
 
     # -- basic geometry ----------------------------------------------------
 
@@ -136,37 +142,35 @@ class WeightDiagram:
         return EMPTY
 
     def count(self, symbol: str) -> int:
-        n = self.tail_symbols.count(symbol)
+        _, stack, core, tail, _ = self
+        n = tail.count(symbol)
         if symbol == CROSS:
-            n += self.zero_crosses
-        elif self.zero_core == symbol:
+            n += stack
+        elif core == symbol:
             n += 1
         return n
 
     def with_tail(self, tail) -> "WeightDiagram":
-        return WeightDiagram(self.t, self.zero_crosses, self.zero_core, tail, self.sign)
+        t, stack, core, _, sign = self
+        return WeightDiagram(t, stack, core, tail, sign)
 
     def with_sign(self, sign: str | None) -> "WeightDiagram":
         if sign not in (None, "+", "-"):
             raise DomainError(f"sign must be '+', '-' or None, got {sign!r}")
-        return WeightDiagram._trusted(self.t, self.zero_crosses, self.zero_core,
-                                      self.tail_symbols, sign)
+        t, stack, core, tail, _ = self
+        return WeightDiagram._trusted(t, stack, core, tail, sign)
 
     def is_core_free(self) -> bool:
         """True when the core consists of nothing but the obligatory zero ``>``."""
-        if GT in self.tail_symbols or LT in self.tail_symbols:
+        t, _, core, tail, _ = self
+        if GT in tail or LT in tail:
             return False
-        if self.t == 2:
-            return self.zero_core == GT
-        return self.zero_core is None
+        if t == 2:
+            return core == GT
+        return core is None
 
     def __str__(self) -> str:
         return fmt(self)
-
-
-# the slot descriptors' setters, which the frozen __setattr__ does not guard
-_set_t, _set_zero_crosses, _set_zero_core, _set_tail, _set_sign = (
-    getattr(WeightDiagram, f.name).__set__ for f in fields(WeightDiagram))
 
 
 def build(t: int, zero_crosses: int = 0, zero_core: str | None = None,
@@ -268,19 +272,20 @@ def _needs_sign(t: int, stack: int, zero_core: str | None, tail: str) -> bool:
 
 def validate(d: WeightDiagram) -> list[str]:
     """Return the list of broken well-formedness rules (empty when valid)."""
+    t, stack, core, tail, sign = d
     bad: list[str] = []
-    if d.t == 2 and d.zero_core != GT:
+    if t == 2 and core != GT:
         bad.append("t=2 requires '>' at the zero position")
-    if d.t == 0 and d.zero_core == GT:
+    if t == 0 and core == GT:
         bad.append("'>' at the zero position makes the diagram type 2, not 0")
-    if d.t == 0 and d.zero_core == LT and (d.count(GT) or d.count(CROSS)):
+    if t == 0 and core == LT and (stack or GT in tail or CROSS in tail):
         bad.append("t=0 forbids '<' at the zero position unless the diagram "
                    "has no '>' and no 'x' at all")
-    needs_sign = _needs_sign(d.t, d.zero_crosses, d.zero_core, d.tail_symbols)
-    if needs_sign and d.sign is None:
-        bad.append(_SIGN_MISSING[d.t])
-    if not needs_sign and d.sign is not None:
-        bad.append(_SIGN_PRESENT[d.t])
+    needs_sign = _needs_sign(t, stack, core, tail)
+    if needs_sign and sign is None:
+        bad.append(_SIGN_MISSING[t])
+    if not needs_sign and sign is not None:
+        bad.append(_SIGN_PRESENT[t])
     return bad
 
 

@@ -23,10 +23,11 @@ forests, where s(a) is the size of a's subtree in F; in the whole forest
 s(a) = (reach - support + 1) / 2, because an arc's span holds nothing but
 crosses and the ends of arcs inside it.
 
-Rank 1 reads the table above straight off the roots of the sweep, one
-component per root, from ``_ROOT_MULT[t != 0][e == 0][odd]``, where odd is
-the parity of an off-zero support less 1 for t=2 (0 at the zero stack);
-:func:`_weight` serves rank 2 and up with W:
+Rank 1 reads the table above straight off the roots of the sweep, each
+named by its support, one component per root, from
+``_ROOT_MULT[t != 0][e == 0][odd]``, where odd is the parity of an off-zero
+support less 1 for t=2 (0 at the zero stack); :func:`_weight` serves rank 2
+and up with W:
 
 * t = 1, 2: a step counts 2, or 1 when ``e`` is 0: when the arc is tight,
   the N arcs wholly to its left in the forest filling every position before
@@ -46,8 +47,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arcs import Arc, ArcDiagram, _build_arcs, _sweep
 from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign,
@@ -55,11 +55,10 @@ from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign,
 from .howl import _howl, howl
 
 
-class GradedMult(NamedTuple):
+class GradedMult(namedtuple("GradedMult", "d0 d1")):
     """Multiplicities of a simple module and of its parity shift."""
 
-    d0: int
-    d1: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.d0}|{self.d1})"
@@ -75,12 +74,14 @@ _ROOT_MULT = (((ONE, GradedMult(0, 1)),) * 2,
               ((GradedMult(2, 0), GradedMult(0, 2)), (ONE, GradedMult(0, 1))))
 
 
-@dataclass
-class Decomposition:
-    """Finite multiset of components with graded multiplicities."""
+class Decomposition(namedtuple("Decomposition", "t components")):
+    """Finite multiset of components with graded multiplicities: the block
+    type ``t`` and a dict from each component to its ``GradedMult``."""
 
-    t: int
-    components: dict[WeightDiagram, GradedMult] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, t: int, components: dict[WeightDiagram, GradedMult] | None = None):
+        return tuple.__new__(cls, (t, {} if components is None else components))
 
     def get(self, d: WeightDiagram) -> GradedMult:
         return self.components.get(d, ZERO)
@@ -121,7 +122,7 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
     if r > atypicality(lam):
         return out
     h = _howl(lam)
-    t, stack, core, tail = lam.t, lam.zero_crosses, lam.zero_core, lam.tail_symbols
+    t, stack, core, tail, _ = lam
     # where the compacted positions lie in lam (see the module docstring)
     fold = 1 if t == 1 and core is not None else 0
     # the positions free of the core left of each core symbol
@@ -134,8 +135,8 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
     if r == 1:
         # each root is a component: erase its one cross, read the table
         mults = _ROOT_MULT[t != 0]
-        for a, e in _sweep(h).items():
-            p, s, odd = a.support, stack, 0
+        for p, e in _sweep(h).items():
+            s, odd = stack, 0
             if p:
                 q = p - 1 + fold
                 q += bisect_right(below, q)

@@ -48,10 +48,10 @@ def _howl(d: WeightDiagram) -> WeightDiagram:
 def _compact(d: WeightDiagram) -> tuple[int, str, str | None]:
     """The zero stack, tail and sign of :func:`howl` of a valid ``d``, in
     canonical form, with no diagram built."""
+    t, stack, core, tail, sign = d
     # deleting the core symbols puts every cross on its s-number
-    tail = d.tail_symbols.replace(GT, "").replace(LT, "")
-    stack, sign = d.zero_crosses, d.sign
-    if d.t != 2 and d.zero_core is not None:
+    tail = tail.replace(GT, "").replace(LT, "")
+    if t != 2 and core is not None:
         # the zero core is forgotten: the first free position becomes zero
         stack, tail, sign = _fold(stack, tail)
     tail = tail.rstrip(EMPTY)

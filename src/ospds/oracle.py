@@ -28,7 +28,7 @@ suite checks it against the arc formula componentwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _fold,
                       atypicality, check_valid, fmt)
@@ -38,11 +38,11 @@ from .howl import _compact
 _EMPTY_TARGET = (0, "", None)  # ``o``, or the bare zero ``>`` of type 2
 
 
-@dataclass
-class Step:
-    rule: str
-    source: str
-    target: str
+class Step(namedtuple("Step", "rule source target")):
+    """One step of the recursion: the rule applied and the two diagrams,
+    written out, that it leaves."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.rule:<16} {self.source}  /  {self.target}"
@@ -56,7 +56,7 @@ def _note(trace: list[Step] | None, rule: str, t: int, f, g) -> None:
 
 
 def _show(t: int, x) -> str:
-    if isinstance(x, tuple):
+    if not isinstance(x, WeightDiagram):
         x = WeightDiagram._trusted(t, x[0], GT if t == 2 else None, x[1], x[2])
     return fmt(x)
 
@@ -73,15 +73,13 @@ def _base(stack: int, tail: str, scale: int) -> GradedMult:
 def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
                  trace: list[Step] | None = None) -> GradedMult:
     """Graded multiplicity of ``nu`` in the rank-1 reduction of ``lam``."""
-    check_valid(lam)
-    check_valid(nu)
-    t = lam.t
-    if t != nu.t:
+    t, _, core, tail, _ = check_valid(lam)
+    nt, _, ncore, ntail, _ = check_valid(nu)
+    if t != nt:
         raise DomainError("source and target must share the block type")
     # same t, zero core and crossless tail: same core (the t=0 sign follows)
-    if (lam.zero_core != nu.zero_core
-            or lam.tail_symbols.replace(CROSS, EMPTY).rstrip(EMPTY)
-            != nu.tail_symbols.replace(CROSS, EMPTY).rstrip(EMPTY)):
+    if (core != ncore or tail.replace(CROSS, EMPTY).rstrip(EMPTY)
+            != ntail.replace(CROSS, EMPTY).rstrip(EMPTY)):
         _note(trace, "cores differ", t, lam, nu)
         return ZERO
     if atypicality(lam) - atypicality(nu) != 1:

@@ -12,8 +12,7 @@ of the last epsilon coefficient, or which zero-stack entry is +1/2).
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .diagram import (CROSS, EMPTY, GT, LT, MAX_WIDTH, DomainError, ParseError,
@@ -24,26 +23,25 @@ Q = Fraction
 _SYMBOL = {(0, 0): EMPTY, (1, 0): GT, (0, 1): LT, (1, 1): CROSS}
 
 
-@dataclass(frozen=True)
-class DominantWeight:
+class DominantWeight(namedtuple("DominantWeight", "series m n a b")):
     """Shifted dominant weight of osp: ``a`` are the epsilon coefficients,
-    ``b`` the delta ones."""
+    ``b`` the delta ones, normalised to tuples of ``Fraction``."""
 
-    series: str
-    m: int
-    n: int
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.series not in ("B", "D"):
-            raise DomainError(f"series must be 'B' or 'D', got {self.series!r}")
-        if type(self.m) is not int or type(self.n) is not int:
-            raise DomainError(f"m and n must be ints, got {self.m!r} and {self.n!r}")
-        object.__setattr__(self, "a", tuple(Q(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(Q(x) for x in self.b))
-        if len(self.a) != self.m or len(self.b) != self.n:
+    def __new__(cls, series: str, m: int, n: int, a, b):
+        if series not in ("B", "D"):
+            raise DomainError(f"series must be 'B' or 'D', got {series!r}")
+        if type(m) is not int or type(n) is not int:
+            raise DomainError(f"m and n must be ints, got {m!r} and {n!r}")
+        a, b = tuple(Q(x) for x in a), tuple(Q(x) for x in b)
+        if len(a) != m or len(b) != n:
             raise DomainError("coefficient lists must have lengths m and n")
+        return tuple.__new__(cls, (series, m, n, a, b))
+
+    @classmethod
+    def _make(cls, fields) -> "DominantWeight":
+        return cls(*fields)
 
 
 def _check_shape(w: DominantWeight) -> None:

@@ -3,8 +3,9 @@
 The reduction by iterated single steps is the reference for the
 order-filter route of :mod:`ospds.ds`.
 
-One step lists, for every root of the compacted diagram's arc forest and
-its free-left count ``e`` in ``ArcDiagram.roots``, the diagram ``_erase``
+One step lists, for every root of the compacted diagram's arc forest,
+named by its support, and its free-left count ``e`` in
+``ArcDiagram.roots``, the diagram ``_erase``
 leaves after erasing the root's cross, lifted back into the block, with the
 graded multiplicity ``mult_rule`` reads off ``e``.  ``_erase`` erases any
 set of crosses, as :mod:`ospds.arcs` did before ``remove_arc`` erased its
@@ -111,9 +112,9 @@ def _ds1(lam: WeightDiagram) -> Decomposition:
     g = core_of(lam)
     diagram = _build_arcs(_howl(lam))
     out = Decomposition(lam.t)
-    for arc, e in diagram.roots.items():
+    for p, e in diagram.roots.items():
         mult = mult_rule(lam.t, e)
-        for h2 in _sign_variants(_erase(diagram.base, [arc.support])):
+        for h2 in _sign_variants(_erase(diagram.base, [p])):
             for nu in _unhowl(g, h2):
                 add(out, nu, mult)
     return out
@@ -152,8 +153,14 @@ def lifted_dsr(lam: WeightDiagram, r: int) -> Decomposition:
     if r > atypicality(lam):
         return out
     h = _howl(lam)
-    filters = ([[(a, 1, 0, e == 0)] for a, e in _sweep(h).items()]
-               if r == 1 else _filters(_build_arcs(h), r))
+    A = _build_arcs(h)
+    if r == 1:
+        # the sweep's roots, named by support, with their arcs in the full
+        # build; the sorted arcs put the top zero-stack arc last on support 0
+        arc = {a.support: a for a in A.arcs}
+        filters = [[(arc[p], 1, 0, e == 0)] for p, e in _sweep(h).items()]
+    else:
+        filters = _filters(A, r)
     g, t2 = core_of(lam), h.t == 2
     for members in filters:
         w = _weight(h, members)

@@ -57,6 +57,10 @@ def free_positions(A):
 WIDE = [("+" + "ox" * 100, 0), ("-x^800", 1), ("o" + "xxxxxooooo" * 20, 1),
         ("x^30/>" + "o" * 61 + "xoo" * 10, 2)]
 NEST = "o" + "x" * 4999 + "o" * 4999  # 4,999 arcs, each inside the last
+# zero stacks over a 4-arc tail: the top zero-stack arc ends past the text
+# the sweep reads, so the roots-only sweep reads none of its ends
+STACKS = [("-x^800oxoxoxox", 1), ("+x^800xoxoooxox", 1), ("x^100/>oxoxoxox", 2),
+          ("x^50oxxooxox", 0)]
 
 
 class TestBuildArcs:
@@ -141,8 +145,26 @@ class TestOrder:
         _roots_match_the_reference(howl(lam))
 
     def test_roots_only_sweep(self, corefree_pool):
-        for h in corefree_pool + [P(text, t) for text, t in WIDE] + [P(NEST, 1)]:
+        for h in (corefree_pool + [P(text, t) for text, t in WIDE + STACKS]
+                  + [P(NEST, 1)]):
             _roots_only_sweep_matches(h)
+
+    @pytest.mark.parametrize("text,t", STACKS)
+    def test_top_zero_stack_arc_past_the_text(self, text, t):
+        h = P(text, t)
+        A = build_arcs(h)
+        top = max(a for a in A.arcs if a.support == 0)
+        assert len(top.ends) == 2 and top.ends[0] > h.width, top
+        # the roots-only sweep names it by support 0, first, with e = 0
+        assert next(iter(_sweep(h).items())) == (0, 0)
+        assert maximal_arcs(A)[0] == top and free_left(A, top) == 0
+        # the double-ended arcs take the first free positions that the
+        # single-ended arcs leave, two at a time, the top one the last two
+        singles = {a.ends[0] for a in A.arcs if len(a.ends) == 1}
+        free = [p for p in range(1, top.reach + 1)
+                if h.sym(p) == EMPTY and p not in singles]
+        doubles = [a for a in A.arcs if len(a.ends) == 2]
+        assert [e for a in doubles for e in a.ends] == free
 
     @settings(max_examples=200, deadline=None)
     @given(lam=diagrams())
@@ -193,7 +215,7 @@ def _removals_match_the_reference(d):
     """Removing each root erases its cross as the reference erasure does,
     sign included."""
     A = build_arcs(howl(d))
-    for a in A.roots:
+    for a in maximal_arcs(A):
         assert remove_arc(A, a) == reference._erase(A.base, [a.support]), (fmt(d), a)
 
 

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,17 +63,59 @@ class TestConstruction:
     def test_trusted_matches_the_public_constructor(self, fields):
         trusted, public = WeightDiagram._trusted(*fields), WeightDiagram(*fields)
         assert type(trusted) is WeightDiagram
-        assert dataclasses.astuple(trusted) == dataclasses.astuple(public)
+        assert tuple(trusted) == tuple(public)
         assert trusted == public and hash(trusted) == hash(public)
 
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(WeightDiagram)])
+    @pytest.mark.parametrize("name", WeightDiagram._fields)
     def test_trusted_diagrams_are_frozen(self, name):
         d = WeightDiagram._trusted(1, 1, None, "xoo", "+")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(d, name, getattr(d, name))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             delattr(d, name)
         assert d == P("+xx", 1)
+
+    def test_a_diagram_is_the_tuple_of_its_fields(self):
+        d = P("-x^2oxoox", 1)
+        assert WeightDiagram._fields == ("t", "zero_crosses", "zero_core",
+                                         "tail_symbols", "sign")
+        assert d == (1, 2, None, "oxoox", "-") and hash(d) == hash((1, 2, None, "oxoox", "-"))
+        assert tuple(d) == (d.t, d.zero_crosses, d.zero_core, d.tail_symbols, d.sign)
+        assert len(d) == 5 and d[3] == "oxoox"
+        assert repr(d) == ("WeightDiagram(t=1, zero_crosses=2, zero_core=None, "
+                           "tail_symbols='oxoox', sign='-')")
+
+    @pytest.mark.parametrize("text,t", [("-x^2oxoox", 1), ("x^2/>oox", 2), ("o", 0)])
+    def test_pickle_and_copy_keep_the_diagram(self, text, t):
+        d = P(text, t)
+        copies = [copy.copy(d), copy.deepcopy(d)]
+        copies += [pickle.loads(pickle.dumps(d, protocol))
+                   for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is WeightDiagram and c == d
+
+    def test_rebuilding_goes_through_the_checks(self):
+        d = P("+xoox", 1)
+        assert d._replace(sign="-") == P("-xoox", 1)
+        assert WeightDiagram._make((1, 1, None, "ooxoo", "+")) == d
+        with pytest.raises(DomainError, match="sign must be"):
+            d._replace(sign="*")
+        with pytest.raises(DomainError, match="bad symbol"):
+            WeightDiagram._make((1, 1, None, "o?x", "+"))
+        # pickle calls the checked constructor on the stored fields
+        with pytest.raises(DomainError, match="bad symbol"):
+            pickle.loads(pickle.dumps(d).replace(b"oox", b"o?x"))
+
+    def test_copy_and_pickle_call_the_checked_constructor(self, monkeypatch):
+        calls = []
+
+        def spy(cls, *fields, new=WeightDiagram.__new__):
+            calls.append(fields)
+            return new(cls, *fields)
+        monkeypatch.setattr(WeightDiagram, "__new__", spy)
+        d = WeightDiagram._trusted(1, 1, None, "xoo", "+")
+        assert copy.copy(d) == d and calls == [tuple(d)]
+        assert pickle.loads(pickle.dumps(d)) == d and calls == [tuple(d)] * 2
 
     def test_with_sign_checks_the_sign(self):
         with pytest.raises(DomainError):
