@@ -260,6 +260,7 @@ _SIGN_MISSING = {0: "t=0 diagram with empty zero position must carry a sign",
 _SIGN_PRESENT = {0: "sign present but the zero position is occupied",
                  1: "sign present but the zero position is not a bare stack",
                  2: "t=2 diagrams carry no sign"}
+_SIGN_UNNEEDED = "sign present but the diagram has no '>' and no 'x'"
 
 
 def _needs_sign(t: int, stack: int, zero_core: str | None, tail: str) -> bool:
@@ -285,7 +286,9 @@ def validate(d: WeightDiagram) -> list[str]:
     if needs_sign and sign is None:
         bad.append(_SIGN_MISSING[t])
     if not needs_sign and sign is not None:
-        bad.append(_SIGN_PRESENT[t])
+        # a t=0 sign with the zero position empty fails for want of '>' or 'x'
+        bare = t == 0 and not stack and core is None
+        bad.append(_SIGN_UNNEEDED if bare else _SIGN_PRESENT[t])
     return bad
 
 

@@ -5,9 +5,9 @@ arc forest of the compacted diagram: a set of arcs holding the enclosing arc
 of each member, which is what r steps can remove.  The component is erased
 in lam: lam's own diagram with the crosses of F erased, zero-stack arcs off
 the top of the stack; compaction only finds the arcs.  Compacted position p
-is the (p - 1 + fold)-th position of lam's tail that holds no core symbol,
-where fold is 1 when a t=1 zero core folded the first of them into the
-stack; a cross folded so is the last the stack gives up.  The one sign rule
+is index at[p] of lam's tail: the table lists the indices free of the core,
+after a None unless a zero core folded the first into the stack, so a
+folded cross is at[0], the last the stack gives up.  The one sign rule
 signs the result: a t=0 component that needs a sign comes in both signings,
 a t=1 one keeps lam's sign.  A step removes a root with a multiplicity read
 off the parity of ``e``, the free positions left of its support:
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 
 from .arcs import Arc, ArcDiagram, _build_arcs, _sweep
@@ -123,12 +123,13 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
         return out
     h = _howl(lam)
     t, stack, core, tail, _ = lam
-    # where the compacted positions lie in lam (see the module docstring)
-    fold = 1 if t == 1 and core is not None else 0
-    # the positions free of the core left of each core symbol
-    below = [m.start() - n for n, m in enumerate(re.finditer("[<>]", tail))]
-    # the cross the fold took, if any: the first position free of the core
-    spill = bisect_right(below, 0) if h.zero_crosses > stack else None
+    # at[p]: the index in lam's tail of compacted position p, p - 1 if core-free
+    if h is lam:
+        at = range(-1, len(tail))
+    else:
+        at = [] if t != 2 and core is not None else [None]
+        for m in re.finditer("[ox]+", tail):  # runs free of the core
+            at += range(*m.span())
     t2 = t == 2
     components = out.components
     both = (lam.sign,) if t == 1 else ("+", "-")
@@ -136,16 +137,12 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
         # each root is a component: erase its one cross, read the table
         mults = _ROOT_MULT[t != 0]
         for p, e in _sweep(h).items():
-            s, odd = stack, 0
-            if p:
-                q = p - 1 + fold
-                q += bisect_right(below, q)
+            if p or not stack:
+                q, s = at[p], stack
                 erased = tail[:q] + EMPTY + tail[q + 1:]
                 odd = (p - t2) & 1
-            elif s:
-                erased, s = tail, s - 1
             else:
-                erased = tail[:spill] + EMPTY + tail[spill + 1:]
+                erased, s, odd = tail, stack - 1, 0
             mult = mults[e == 0][odd]
             for sign in both if _needs_sign(t, s, core, erased) else (None,):
                 components[WeightDiagram._trusted(t, s, core, erased, sign)] = mult
@@ -155,15 +152,12 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
         erased, s, odd = tail, stack, 0
         for a, _, _, _ in members:
             p = a.support
-            if p:
-                q = p - 1 + fold
-                q += bisect_right(below, q)
+            if p or not s:
+                q = at[p]
                 erased = erased[:q] + EMPTY + erased[q + 1:]
                 odd ^= (p - t2) & 1
-            elif s:
-                s -= 1
             else:
-                erased = erased[:spill] + EMPTY + erased[spill + 1:]
+                s -= 1
         mult = GradedMult(0, w) if odd else GradedMult(w, 0)
         # different filters erase different crosses: no component repeats
         for sign in both if _needs_sign(t, s, core, erased) else (None,):

@@ -11,10 +11,10 @@ odd directions and every component is typical there, so the answer is 0.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .diagram import GT, DomainError, WeightDiagram, _check_counts
 from .ds import _dsr
+from .weightmap import _rational
 
 
 def _dim_from_shifted(N: int, a: list[int]) -> int:
@@ -41,9 +41,12 @@ def _dim_from_shifted(N: int, a: list[int]) -> int:
 
 def weyl_dim_so(N: int, hw) -> int:
     """Dimension of the irreducible so_N module with highest weight ``hw``."""
+    # type(), not isinstance(), as the diagram constructor: True is no N
+    if type(N) is not int:
+        raise DomainError(f"N must be an int, got {N!r}")
     if N < 0:
         raise DomainError("N must be non-negative")
-    hw = [Fraction(x) for x in hw]
+    hw = list(map(_rational, hw))
     r = N // 2
     if len(hw) != r:
         raise DomainError(f"so_{N} takes {r} weight coordinates, got {len(hw)}")

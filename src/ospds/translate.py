@@ -16,7 +16,7 @@ front of the core symbols before it; each kind keeps its order.
 from __future__ import annotations
 
 from .diagram import (CROSS, EMPTY, CORE_SYMBOLS, GT, LT, DomainError,
-                      WeightDiagram, _fold, _unfold, check_valid, fmt)
+                      WeightDiagram, _fold, _needs_sign, _unfold, check_valid, fmt)
 
 
 def trans_swap(d: WeightDiagram, a: int) -> WeightDiagram:
@@ -101,7 +101,8 @@ def stabilize(d: WeightDiagram) -> tuple[WeightDiagram, list[int]]:
 
 def shrink(d: WeightDiagram, u: int) -> WeightDiagram:
     """Delete positions ``u`` and ``u+1``, which must hold a cross and an
-    empty; everything beyond shifts down two steps."""
+    empty; everything beyond shifts down two steps, and the one sign rule
+    signs the result."""
     check_valid(d)
     if type(u) is not int:
         raise DomainError(f"shrink needs an int u, got {u!r}")
@@ -109,6 +110,9 @@ def shrink(d: WeightDiagram, u: int) -> WeightDiagram:
         raise DomainError("shrink needs u >= 1")
     if d.sym(u) != CROSS or d.sym(u + 1) != EMPTY:
         raise DomainError(f"positions {u},{u + 1} of {fmt(d)!r} are not cross/empty")
-    tail = d.tail_symbols[:u - 1] + d.tail_symbols[u + 1:]
-    return d.with_tail(tail)
+    t, stack, core, tail, sign = d
+    tail = tail[:u - 1] + tail[u + 1:]
+    # the last cross of a t=0 tail may take the need for a sign with it
+    return WeightDiagram._trusted(t, stack, core, tail,
+                                  sign if _needs_sign(t, stack, core, tail) else None)
 

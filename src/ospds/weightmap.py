@@ -23,6 +23,15 @@ Q = Fraction
 _SYMBOL = {(0, 0): EMPTY, (1, 0): GT, (0, 1): LT, (1, 1): CROSS}
 
 
+def _rational(x) -> Fraction:
+    """``Fraction(x)``, refusing with :class:`DomainError` what it cannot read
+    (infinities, NaN, text that is no number, non-numbers)."""
+    try:
+        return Q(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"a weight coordinate must be a rational number, got {x!r}") from None
+
+
 class DominantWeight(namedtuple("DominantWeight", "series m n a b")):
     """Shifted dominant weight of osp: ``a`` are the epsilon coefficients,
     ``b`` the delta ones, normalised to tuples of ``Fraction``."""
@@ -34,7 +43,7 @@ class DominantWeight(namedtuple("DominantWeight", "series m n a b")):
             raise DomainError(f"series must be 'B' or 'D', got {series!r}")
         if type(m) is not int or type(n) is not int:
             raise DomainError(f"m and n must be ints, got {m!r} and {n!r}")
-        a, b = tuple(Q(x) for x in a), tuple(Q(x) for x in b)
+        a, b = tuple(map(_rational, a)), tuple(map(_rational, b))
         if len(a) != m or len(b) != n:
             raise DomainError("coefficient lists must have lengths m and n")
         return tuple.__new__(cls, (series, m, n, a, b))

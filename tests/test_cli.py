@@ -237,6 +237,8 @@ _UNPINNED = [
      "violation: t=0 diagram with empty zero position must carry a sign\n", ""),
     (["validate", "+x", "--t", "0"], 1,
      "violation: sign present but the zero position is occupied\n", ""),
+    (["validate", "+o<", "--t", "0"], 1,
+     "violation: sign present but the diagram has no '>' and no 'x'\n", ""),
     (["validate", "x", "--t", "1"], 1,
      "violation: t=1 diagram with a bare zero stack must carry a sign\n", ""),
     (["validate", "+>", "--t", "1"], 1,

@@ -151,6 +151,8 @@ class TestValidate:
         assert validate(P("+ox", 0)) == []
         assert validate(parse("ox", 0))      # missing sign
         assert validate(parse("+x", 0))      # zero occupied
+        # an empty zero position, but nothing the sign could stand for
+        assert validate(parse("+o<", 0)) == ["sign present but the diagram has no '>' and no 'x'"]
 
     def test_type1_sign_iff_bare_stack(self):
         assert validate(parse("+ox", 1))

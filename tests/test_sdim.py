@@ -44,6 +44,12 @@ class TestWeylDim:
         pytest.param(5, [1, -1], "odd so weights are non-negative", id="negative odd"),
         pytest.param(6, [2, 1, -2], r"hw\[r-2\] >= \|hw\[r-1\]\|", id="even rule"),
         pytest.param(3, [Q(1, 3)], "integers or half-integers", id="one third"),
+        pytest.param(3.0, [1], "N must be an int, got 3.0", id="N=3.0"),
+        pytest.param(True, [], "N must be an int, got True", id="N=True"),
+        pytest.param(5, [float("inf"), 1], "must be a rational number, got inf", id="inf"),
+        pytest.param(3, ["a"], "must be a rational number, got 'a'", id="coordinate 'a'"),
+        pytest.param(3, [None], "must be a rational number, got None", id="coordinate None"),
+        pytest.param(3, [float("nan")], "must be a rational number, got nan", id="NaN"),
     ])
     def test_public_checks_refuse(self, N, hw, message):
         with pytest.raises(DomainError, match=message):

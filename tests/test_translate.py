@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference
-from ospds.diagram import DomainError, enumerate_corefree, fmt, is_stable
+from ospds.diagram import DomainError, enumerate_corefree, fmt, is_stable, validate
 from ospds.howl import UnhowlError, howl, unhowl
 from ospds.translate import shrink, stabilize, trans_swap
 from conftest import P, diagrams
@@ -143,6 +143,26 @@ class TestShrinkPhi:
         widened = small.with_tail(small.tail_symbols[:u - 1] + CROSS + EMPTY
                                   + small.tail_symbols[u - 1:])
         assert widened == d
+
+    def test_every_result_is_valid(self, small_cores):
+        # removing the last cross of a t=0 tail drops the sign it needed
+        assert fmt(shrink(P("+oxoo<", 0), 1)) == "oo<"
+        shrunk = 0
+        for t, cores in small_cores.items():
+            for g in cores:
+                for k in range(8):
+                    for h in enumerate_corefree(t, k, 7):
+                        try:
+                            lifts = unhowl(g, h)
+                        except UnhowlError:
+                            continue
+                        for lam in lifts:
+                            # every u with a cross at u and an empty at u + 1
+                            for u in range(1, lam.width):
+                                if lam.sym(u) + lam.sym(u + 1) == "xo":
+                                    assert validate(shrink(lam, u)) == [], (fmt(lam), u)
+                                    shrunk += 1
+        assert shrunk > 10_000, shrunk
 
 
 @pytest.mark.parametrize("call, message", [

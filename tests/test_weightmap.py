@@ -141,6 +141,14 @@ class TestParseWeight:
                  "delta coefficients must be half-integers", id="integer delta"),
     pytest.param(lambda: weight_to_diagram(D(0, 1, [], [-1])),
                  "coefficients must be non-negative", id="negative D coefficient"),
+    pytest.param(lambda: DominantWeight("D", 1, 0, [float("inf")], []),
+                 "must be a rational number, got inf", id="inf"),
+    pytest.param(lambda: DominantWeight("D", 1, 0, ["a"], []),
+                 "must be a rational number, got 'a'", id="coefficient 'a'"),
+    pytest.param(lambda: DominantWeight("D", 0, 1, [], [None]),
+                 "must be a rational number, got None", id="coefficient None"),
+    pytest.param(lambda: DominantWeight("B", 1, 0, [float("nan")], []),
+                 "must be a rational number, got nan", id="NaN"),
 ])
 def test_public_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):
