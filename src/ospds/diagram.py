@@ -150,10 +150,6 @@ class WeightDiagram(namedtuple("WeightDiagram",
             n += 1
         return n
 
-    def with_tail(self, tail) -> "WeightDiagram":
-        t, stack, core, _, sign = self
-        return WeightDiagram(t, stack, core, tail, sign)
-
     def with_sign(self, sign: str | None) -> "WeightDiagram":
         if sign not in (None, "+", "-"):
             raise DomainError(f"sign must be '+', '-' or None, got {sign!r}")

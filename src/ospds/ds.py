@@ -23,11 +23,10 @@ forests, where s(a) is the size of a's subtree in F; in the whole forest
 s(a) = (reach - support + 1) / 2, because an arc's span holds nothing but
 crosses and the ends of arcs inside it.
 
-Rank 1 reads the table above straight off the roots of the sweep, each
-named by its support, one component per root, from
-``_ROOT_MULT[t != 0][e == 0][odd]``, where odd is the parity of an off-zero
-support less 1 for t=2 (0 at the zero stack); :func:`_weight` serves rank 2
-and up with W:
+Rank 1 reads the table straight off the roots of the sweep, one component
+per root named by its support: (1|0) when e = 0, as at the zero stack, else
+``_ROOT_MULT[t != 0][e & 1]``.  Rank 2 and up erase each filter, read as
+integer rows, in one list copy of lam's tail, and :func:`_weight` gives W:
 
 * t = 1, 2: a step counts 2, or 1 when ``e`` is 0: when the arc is tight,
   the N arcs wholly to its left in the forest filling every position before
@@ -49,7 +48,7 @@ import re
 from bisect import bisect_left
 from collections import namedtuple
 
-from .arcs import Arc, ArcDiagram, _build_arcs, _sweep
+from .arcs import _build_arcs, _sweep
 from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign,
                       atypicality, check_valid, fmt, pari)
 from .howl import _howl, howl
@@ -69,9 +68,8 @@ class GradedMult(namedtuple("GradedMult", "d0 d1")):
 
 ZERO = GradedMult(0, 0)
 ONE = GradedMult(1, 0)
-# the rank-1 table of the module docstring: _ROOT_MULT[t != 0][e == 0][odd]
-_ROOT_MULT = (((ONE, GradedMult(0, 1)),) * 2,
-              ((GradedMult(2, 0), GradedMult(0, 2)), (ONE, GradedMult(0, 1))))
+# the rank-1 table of the module docstring for e > 0: _ROOT_MULT[t != 0][e & 1]
+_ROOT_MULT = ((ONE, GradedMult(0, 1)), (GradedMult(2, 0), GradedMult(0, 2)))
 
 
 class Decomposition(namedtuple("Decomposition", "t components")):
@@ -130,7 +128,6 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
         at = [] if t != 2 and core is not None else [None]
         for m in re.finditer("[ox]+", tail):  # runs free of the core
             at += range(*m.span())
-    t2 = t == 2
     components = out.components
     both = (lam.sign,) if t == 1 else ("+", "-")
     if r == 1:
@@ -140,24 +137,23 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
             if p or not stack:
                 q, s = at[p], stack
                 erased = tail[:q] + EMPTY + tail[q + 1:]
-                odd = (p - t2) & 1
             else:
-                erased, s, odd = tail, stack - 1, 0
-            mult = mults[e == 0][odd]
+                erased, s = tail, stack - 1
+            mult = mults[e & 1] if e else ONE
             for sign in both if _needs_sign(t, s, core, erased) else (None,):
                 components[WeightDiagram._trusted(t, s, core, erased, sign)] = mult
         return out
-    for members in _filters(_build_arcs(h), r):
+    t2 = t == 2
+    for members in _filters(h, r):
         w = _weight(h, members)
-        erased, s, odd = tail, stack, 0
-        for a, _, _, _ in members:
-            p = a.support
+        erased, s, odd = list(tail), stack, 0
+        for p, _, _, _ in members:
             if p or not s:
-                q = at[p]
-                erased = erased[:q] + EMPTY + erased[q + 1:]
+                erased[at[p]] = EMPTY
                 odd ^= (p - t2) & 1
             else:
                 s -= 1
+        erased = "".join(erased)
         mult = GradedMult(0, w) if odd else GradedMult(w, 0)
         # different filters erase different crosses: no component repeats
         for sign in both if _needs_sign(t, s, core, erased) else (None,):
@@ -165,46 +161,46 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
     return out
 
 
-def _filters(diagram: ArcDiagram, r: int):
-    """Each order filter of ``r`` arcs as its members in preorder: (arc,
-    subtree size in the filter, members wholly left of it, tight)."""
-    n = len(diagram.arcs)
+def _filters(h: WeightDiagram, r: int):
+    """Each order filter of ``r`` arcs of ``h`` as integer rows in preorder:
+    (support, subtree size in the filter, members wholly left of it, tight)."""
+    arcs = _build_arcs(h).arcs
+    n = len(arcs)
     # preorder: a subtree is a run, and an arc before ``a`` encloses ``a``
     # or lies wholly left of it; the whole forest needs no order
-    arcs = diagram.arcs if r == n else sorted(
-        diagram.arcs, key=lambda a: (a.support, -a.reach))
+    arcs = sorted(arcs, key=lambda a: (a.support, -a.reach)) if r < n else arcs
     reaches = sorted([a.reach for a in arcs])
-    t2 = diagram.base.t == 2
-    forest = []  # (arc, subtree size, arcs wholly left of it, tight)
-    for a in arcs:
-        left = bisect_left(reaches, a.support)
-        forest.append((a, (a.reach - a.support + 1) // 2, left,
-                       a.support in (0, 2 * left + t2)))
+    forest = []  # (support, subtree size, arcs wholly left of it, tight)
+    for p, _, ends in arcs:
+        left = bisect_left(reaches, p)
+        forest.append((p, (ends[-1] - p + 1) // 2, left, p in (0, 2 * left + (h.t == 2))))
     if r == n:
         yield forest
         return
-    # (next arc, members so far): an arc is reached only when its parent is a
+    # (next arc, members kept): an arc is reached only when its parent is a
     # member, and a state is kept only when the arcs after it can fill F; the
     # members left of an arc are those before it but its ancestors
-    todo: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    members, todo = [], [(0, 0)]
     while todo:
-        j, members = todo.pop()
-        if len(members) == r:
-            yield [(a, bisect_left(members, i + size, m) - m, m - i + left, tight)
+        j, c = todo.pop()
+        del members[c:]
+        if c == r:
+            yield [(p, bisect_left(members, i + size, m) - m, m - i + left, tight)
                    for m, i in enumerate(members)
-                   for a, size, left, tight in (forest[i],)]
-        elif len(members) + n - j >= r:
-            todo.append((j + forest[j][1], members))  # leave out arc j's subtree
-            todo.append((j + 1, members + (j,)))
+                   for p, size, left, tight in (forest[i],)]
+        elif c + n - j >= r:
+            todo.append((j + forest[j][1], c))  # leave out arc j's subtree
+            todo.append((j + 1, c + 1))
+            members.append(j)
 
 
-def _weight(h: WeightDiagram, members: list[tuple[Arc, int, int, bool]]) -> int:
+def _weight(h: WeightDiagram, members: list[tuple[int, int, int, bool]]) -> int:
     """Total multiplicity of the component that removing the filter
     ``members`` from ``h`` leaves (see the module docstring)."""
     r = len(members)
     num, den = math.factorial(r), math.prod(s for _, s, _, _ in members)
     if h.t == 0:
-        chain = sorted(s for a, s, _, _ in members if a.support == 0)
+        chain = sorted(s for p, s, _, _ in members if p == 0)
         if not h.zero_crosses:
             return num * 2 ** (r - 1) // den
         if len(chain) < h.zero_crosses:  # the lowest zero cross stays

@@ -2,10 +2,10 @@
 
 The reduction preserves superdimension, and reducing by the full
 atypicality k strips all crosses.  When n = k the residue is a plain
-orthogonal Lie algebra so_(2(m-k)+t): every component is a lift of the empty
-diagram into the core of ``lam``, and its ordinary dimension is a Weyl
-product over the surviving ``>`` coordinates.  When n > k the residue keeps
-odd directions and every component is typical there, so the answer is 0.
+orthogonal Lie algebra so_(2(m-k)+t): every component is ``lam`` with its
+crosses erased, so one Weyl product over the ``>`` coordinates of ``lam``
+gives the ordinary dimension of each.  When n > k the residue keeps odd
+directions and every component is typical there, so the answer is 0.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 from .diagram import GT, DomainError, WeightDiagram, _check_counts
 from .ds import _dsr
-from .weightmap import _rational
+from .weightmap import _rationals
 
 
 def _dim_from_shifted(N: int, a: list[int]) -> int:
@@ -46,7 +46,7 @@ def weyl_dim_so(N: int, hw) -> int:
         raise DomainError(f"N must be an int, got {N!r}")
     if N < 0:
         raise DomainError("N must be non-negative")
-    hw = list(map(_rational, hw))
+    hw = _rationals(hw)
     r = N // 2
     if len(hw) != r:
         raise DomainError(f"so_{N} takes {r} weight coordinates, got {len(hw)}")
@@ -66,14 +66,14 @@ def weyl_dim_so(N: int, hw) -> int:
     return _dim_from_shifted(N, [int(2 * x) + y for x, y in zip(hw, rho)])
 
 
-def _component_dim(nu: WeightDiagram) -> int:
-    """Ordinary so-dimension of a component diagram with no cross and no ``<``."""
-    positions = sorted((p for p, s in enumerate(nu.tail_symbols, 1) if s == GT),
+def _core_dim(lam: WeightDiagram) -> int:
+    """Ordinary so-dimension of ``lam`` with no ``<``, its crosses erased."""
+    positions = sorted((p for p, s in enumerate(lam.tail_symbols, 1) if s == GT),
                        reverse=True)
-    if nu.zero_core == GT:
+    if lam.zero_core == GT:
         positions.append(0)
     # the doubled shifted coordinates: 2p + 1 for the odd series, 2p for the even
-    odd = 1 if nu.t == 1 else 0
+    odd = 1 if lam.t == 1 else 0
     return _dim_from_shifted(2 * len(positions) + odd, [2 * p + odd for p in positions])
 
 
@@ -83,5 +83,4 @@ def superdimension(lam: WeightDiagram, m: int, n: int) -> int:
     k = _check_counts(lam, m, n)
     if n > k:
         return 0
-    return sum((g.d0 - g.d1) * _component_dim(nu)
-               for nu, g in _dsr(lam, k).components.items())
+    return sum(d0 - d1 for d0, d1 in _dsr(lam, k).components.values()) * _core_dim(lam)

@@ -32,6 +32,14 @@ def _rational(x) -> Fraction:
         raise DomainError(f"a weight coordinate must be a rational number, got {x!r}") from None
 
 
+def _rationals(xs) -> tuple[Fraction, ...]:
+    """:func:`_rational` over a coordinate list, refusing one that is not iterable."""
+    try:
+        return tuple(map(_rational, xs))
+    except TypeError:
+        raise DomainError(f"weight coordinates must be a list, got {xs!r}") from None
+
+
 class DominantWeight(namedtuple("DominantWeight", "series m n a b")):
     """Shifted dominant weight of osp: ``a`` are the epsilon coefficients,
     ``b`` the delta ones, normalised to tuples of ``Fraction``."""
@@ -43,7 +51,7 @@ class DominantWeight(namedtuple("DominantWeight", "series m n a b")):
             raise DomainError(f"series must be 'B' or 'D', got {series!r}")
         if type(m) is not int or type(n) is not int:
             raise DomainError(f"m and n must be ints, got {m!r} and {n!r}")
-        a, b = tuple(map(_rational, a)), tuple(map(_rational, b))
+        a, b = _rationals(a), _rationals(b)
         if len(a) != m or len(b) != n:
             raise DomainError("coefficient lists must have lengths m and n")
         return tuple.__new__(cls, (series, m, n, a, b))

@@ -153,18 +153,15 @@ def lifted_dsr(lam: WeightDiagram, r: int) -> Decomposition:
     if r > atypicality(lam):
         return out
     h = _howl(lam)
-    A = _build_arcs(h)
     if r == 1:
-        # the sweep's roots, named by support, with their arcs in the full
-        # build; the sorted arcs put the top zero-stack arc last on support 0
-        arc = {a.support: a for a in A.arcs}
-        filters = [[(arc[p], 1, 0, e == 0)] for p, e in _sweep(h).items()]
+        # the sweep's roots as one-member filters, named by support
+        filters = [[(p, 1, 0, e == 0)] for p, e in _sweep(h).items()]
     else:
-        filters = _filters(A, r)
+        filters = _filters(h, r)
     g, t2 = core_of(lam), h.t == 2
     for members in filters:
         w = _weight(h, members)
-        supports = [m[0].support for m in members]
+        supports = [m[0] for m in members]
         odd = sum(p - t2 for p in supports if p) % 2
         mult = GradedMult(0, w) if odd else GradedMult(w, 0)
         for nu in _unhowl(g, _erase(h, supports)):
@@ -247,13 +244,13 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
     for u in reversed(cross_positions(g)):
         if tail[u - 1:u + 1] not in (CROSS + EMPTY, CROSS):
             if trace is not None:
-                _note(trace, "no cross/empty", f.with_tail(tail),
-                      g.with_tail(g.tail_symbols[:u]))
+                _note(trace, "no cross/empty", f._replace(tail_symbols=tail),
+                      g._replace(tail_symbols=g.tail_symbols[:u]))
             return ZERO
         tail = tail[:u - 1] + tail[u + 1:]
         if trace is not None:
-            _note(trace, f"shrink at {u}", f.with_tail(tail),
-                  g.with_tail(g.tail_symbols[:u - 1]))
+            _note(trace, f"shrink at {u}", f._replace(tail_symbols=tail),
+                  g._replace(tail_symbols=g.tail_symbols[:u - 1]))
     f = WeightDiagram._trusted(f.t, f.zero_crosses, f.zero_core, tail, f.sign)
     g = WeightDiagram._trusted(g.t, g.zero_crosses, g.zero_core, "", g.sign)
 

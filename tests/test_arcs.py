@@ -171,6 +171,16 @@ class TestOrder:
     def test_roots_only_sweep_on_random_diagrams(self, lam):
         _roots_only_sweep_matches(howl(lam))
 
+    def test_root_e_has_the_parity_of_its_support(self, corefree_pool):
+        for h in (corefree_pool + [P(text, t) for text, t in WIDE + STACKS]
+                  + [P(NEST, 1)]):
+            _root_e_parity_holds(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams())
+    def test_root_e_has_the_parity_of_its_support_on_random_diagrams(self, lam):
+        _root_e_parity_holds(howl(lam))
+
     def test_maximality_matches_rebuild_characterisation(self, corefree_pool):
         # independent check: an arc is maximal exactly when deleting its cross
         # re-arcs to the remaining arcs unchanged
@@ -187,7 +197,8 @@ class TestOrder:
                                          else None)
                 else:
                     p = arc.support
-                    base = h.with_tail(h.tail_symbols[:p - 1] + EMPTY + h.tail_symbols[p:])
+                    base = h._replace(
+                        tail_symbols=h.tail_symbols[:p - 1] + EMPTY + h.tail_symbols[p:])
                 if base.t == 0 and base.zero_crosses == 0 and base.sign is None \
                         and base.count(CROSS) >= 1:
                     base = base.with_sign("+")
@@ -202,6 +213,16 @@ def _roots_match_the_reference(h):
     free = free_positions(A)
     for a in maximal_arcs(A):
         assert free_left(A, a) == sum(1 for p in free if p < a.support), (fmt(h), a)
+
+
+def _root_e_parity_holds(h):
+    """The rank-1 reduction reads a root's grading off its ``e`` alone: ``e``
+    has the parity of the support, less 1 for t=2, and is 0 on support 0."""
+    for p, e in _sweep(h).items():
+        if p:
+            assert e & 1 == (p - (h.t == 2)) & 1, (fmt(h), p, e)
+        else:
+            assert e == 0, (fmt(h), e)
 
 
 def _roots_only_sweep_matches(h):

@@ -314,6 +314,9 @@ class TestPurity:
         assert not check_purity(bad, lam)
         wrong_parity = Decomposition(1, {P("o", 1): GradedMult(2, 0)})
         assert not check_purity(wrong_parity, lam)
+        # a parity-shifted component graded like the source
+        shifted_like_source = Decomposition(1, {lam: GradedMult(0, 1)})
+        assert not check_purity(shifted_like_source, lam)
 
 
 class TestSymmetries:

@@ -284,7 +284,7 @@ def _erased_lifts(lam):
     h, core = howl(lam), core_of(lam)
     out = set()
     for p in reference.cross_positions(h):
-        bare = h.with_tail(h.tail_symbols[:p - 1] + EMPTY + h.tail_symbols[p:])
+        bare = h._replace(tail_symbols=h.tail_symbols[:p - 1] + EMPTY + h.tail_symbols[p:])
         for sign in (None, "+", "-"):
             if not validate(bare.with_sign(sign)):
                 try:

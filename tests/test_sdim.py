@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospds.diagram import GT, LT, DomainError, atypicality, enumerate_corefree
-from ospds import ds
+from ospds import ds, sdim
 from ospds.howl import UnhowlError, unhowl
-from ospds.sdim import (_component_dim, _dim_from_shifted, superdimension,
+from ospds.sdim import (_core_dim, _dim_from_shifted, superdimension,
                         weyl_dim_so)
 from conftest import P, diagrams
 from reference import dim_from_shifted, dsr
@@ -50,6 +50,8 @@ class TestWeylDim:
         pytest.param(3, ["a"], "must be a rational number, got 'a'", id="coordinate 'a'"),
         pytest.param(3, [None], "must be a rational number, got None", id="coordinate None"),
         pytest.param(3, [float("nan")], "must be a rational number, got nan", id="NaN"),
+        pytest.param(3, 5, "weight coordinates must be a list, got 5", id="hw=5"),
+        pytest.param(3, None, "weight coordinates must be a list, got None", id="hw=None"),
     ])
     def test_public_checks_refuse(self, N, hw, message):
         with pytest.raises(DomainError, match=message):
@@ -159,6 +161,16 @@ class TestSuperdimension:
         # each contribute a one-dimensional so_2 module
         assert superdimension(P("+o>ox", 0), 2, 1) == 2
 
+    def test_one_weyl_product_per_call(self, monkeypatch):
+        # every component is lam with its crosses erased: the two signed
+        # components of +o>ox share one Weyl product
+        calls = []
+        real = sdim._dim_from_shifted
+        monkeypatch.setattr(sdim, "_dim_from_shifted",
+                            lambda N, a: calls.append(N) or real(N, a))
+        assert superdimension(P("+o>ox", 0), 2, 1) == 2
+        assert calls == [2]
+
 
 # -- the arc-forest route against the full reduction -------------------------------
 
@@ -168,7 +180,7 @@ def _by_full_reduction(lam):
     if lam.count(LT):  # n > k
         return 0
     dec = dsr(lam, atypicality(lam))
-    return sum((g.d0 - g.d1) * _component_dim(nu) for nu, g in dec.components.items())
+    return sum((g.d0 - g.d1) * _core_dim(nu) for nu, g in dec.components.items())
 
 
 def _agrees(lam):

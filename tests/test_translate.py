@@ -140,8 +140,8 @@ class TestShrinkPhi:
         u = 2
         small = shrink(d, u)
         from ospds.diagram import CROSS, EMPTY
-        widened = small.with_tail(small.tail_symbols[:u - 1] + CROSS + EMPTY
-                                  + small.tail_symbols[u - 1:])
+        widened = small._replace(tail_symbols=small.tail_symbols[:u - 1] + CROSS
+                                 + EMPTY + small.tail_symbols[u - 1:])
         assert widened == d
 
     def test_every_result_is_valid(self, small_cores):

@@ -149,6 +149,10 @@ class TestParseWeight:
                  "must be a rational number, got None", id="coefficient None"),
     pytest.param(lambda: DominantWeight("B", 1, 0, [float("nan")], []),
                  "must be a rational number, got nan", id="NaN"),
+    pytest.param(lambda: DominantWeight("D", 1, 0, 5, []),
+                 "weight coordinates must be a list, got 5", id="coefficients 5"),
+    pytest.param(lambda: D(1, 0, [1], [])._replace(m=1.0),
+                 "m and n must be ints, got 1.0 and 0", id="_replace m=1.0"),
 ])
 def test_public_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):
