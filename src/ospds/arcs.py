@@ -15,18 +15,18 @@ forest, the maximal arcs, are exactly the removable ones, and the number
 ``e`` of free positions left of a root's support drives the graded
 multiplicities of the reduction.
 
-One left-to-right sweep finds the matching, and the roots with their ``e``
-as it goes; it is the only matcher in the package, and the dotted cups of
-:func:`es_dotted` are read off it too.  The top zero-stack arc is a root with
-e = 0; a single-ended arc is a root when it closes inside no arc and past
-that top.  The N arcs left of a root fill two positions each, and position
-0 of a t=2 diagram holds ``>``, so e = support - 2N - [t = 2]: e = 0 is the
-tightness test of :mod:`ospds.ds`.  A root is named by its support, which
-is unique: support 0 names the top zero-stack arc, the one zero-stack root.
-The sweep builds no arc, and reads no end of a double-ended arc, unless
-the arcs are asked for; they are stored zero-stack arcs first, innermost
-first, then by support.  :func:`maximal_arcs` maps the roots back to their
-arcs, for the ``arcs`` listing and :func:`arcs_json`.
+One left-to-right sweep, :func:`_sweep`, the only producer of arcs, finds
+the matching, and the roots with their ``e`` as it goes.  The top
+zero-stack arc is a root with e = 0; a single-ended arc is a root when it
+closes inside no arc and past that top.  The N arcs left of a root fill two
+positions each, and position 0 of a t=2 diagram holds ``>``, so
+e = support - 2N - [t = 2]: e = 0 is the tightness test of :mod:`ospds.ds`.
+The sweep names a root by its unique support, 0 for the top zero-stack arc;
+unless asked for arcs it builds none, and reads no double-ended arc's ends.
+The reduction and :func:`es_dotted` read its arcs as they come;
+:func:`build_arcs`, the only builder of an :class:`ArcDiagram`, sorts them,
+zero-stack arcs first, innermost first, then by support, and maps each
+maximal :class:`Arc` to its ``e``.
 
 :func:`maximal_arcs`, :func:`free_left` and :func:`remove_arc` stay for
 the benchmark's tracer, and :func:`remove_arc` returns even-series results
@@ -55,9 +55,9 @@ class Arc(namedtuple("Arc", "support stack_index ends")):
 
 class ArcDiagram(namedtuple("ArcDiagram", "base arcs roots")):
     """The arcs of a core-free diagram, sorted, and the roots of their
-    forest: the support of each maximal arc, left to right, mapped to its
+    forest: each maximal :class:`Arc`, left to right, mapped to its
     free-left count ``e``, the number of free positions strictly left of
-    its support."""
+    its support.  :func:`build_arcs` is its only builder."""
 
     __slots__ = ()
 
@@ -67,13 +67,11 @@ def build_arcs(h: WeightDiagram) -> ArcDiagram:
     check_valid(h)
     if not h.is_core_free():
         raise DomainError(f"arc diagrams attach to core-free diagrams, got {fmt(h)!r}")
-    return _build_arcs(h)
-
-
-def _build_arcs(h: WeightDiagram) -> ArcDiagram:
-    """:func:`build_arcs` of a diagram known to be valid and core-free."""
     roots = _sweep(h, arcs := [])
-    return ArcDiagram(h, tuple(sorted(arcs)), roots)
+    arcs.sort()
+    # sorted, the last arc on support 0 is the top zero-stack arc
+    arc = {a.support: a for a in arcs}
+    return ArcDiagram(h, tuple(arcs), {arc[p]: e for p, e in roots.items()})
 
 
 def _sweep(h: WeightDiagram, arcs: list[Arc] | None = None) -> dict[int, int]:
@@ -110,22 +108,14 @@ def _sweep(h: WeightDiagram, arcs: list[Arc] | None = None) -> dict[int, int]:
     return roots
 
 
-def _root_arcs(diagram: ArcDiagram) -> dict[Arc, int]:
-    """The roots of ``diagram`` as arcs, left to right, each mapped to its
-    ``e``.  The arcs are sorted, so the last arc on support 0 is the top
-    zero-stack arc."""
-    arc = {a.support: a for a in diagram.arcs}
-    return {arc[p]: e for p, e in diagram.roots.items()}
-
-
 def maximal_arcs(diagram: ArcDiagram) -> list[Arc]:
-    return list(_root_arcs(diagram))
+    return list(diagram.roots)
 
 
 def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
     """Erase a maximal arc and its cross; an even-series result is unsigned,
     standing for both signings when its zero position is bare."""
-    if arc not in _root_arcs(diagram):
+    if arc not in diagram.roots:
         raise DomainError("only maximal arcs can be removed")
     d, p = diagram.base, arc.support
     stack, tail = d.zero_crosses, d.tail_symbols
@@ -140,10 +130,9 @@ def remove_arc(diagram: ArcDiagram, arc: Arc) -> WeightDiagram:
 
 def free_left(diagram: ArcDiagram, arc: Arc) -> int:
     """Number of free positions strictly left of a maximal arc's support."""
-    roots = _root_arcs(diagram)
-    if arc not in roots:
+    if arc not in diagram.roots:
         raise DomainError("free_left is defined for maximal arcs")
-    return roots[arc]
+    return diagram.roots[arc]
 
 
 # -- rendering ----------------------------------------------------------------
@@ -217,7 +206,7 @@ def arcs_json(diagram: ArcDiagram) -> dict:
         "diagram": fmt(diagram.base),
         "t": diagram.base.t,
         "arcs": [one(a) for a in diagram.arcs],
-        "maximal": [one(a) for a in maximal_arcs(diagram)],
+        "maximal": [one(a) for a in diagram.roots],
     }
 
 
@@ -260,7 +249,7 @@ def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
     keep = 1 if sign == "+" and stack > 0 else 0
     recast = (WeightDiagram._trusted(1, stack, None, h.tail_symbols, sign) if keep
               else WeightDiagram._trusted(2, stack, GT, h.tail_symbols, None))
-    arcs = _build_arcs(recast).arcs
+    _sweep(recast, arcs := [])
     cups = sorted((a.support, a.reach) if len(a.ends) == 1 else a.ends for a in arcs)
     dotted = frozenset(a.ends[0] for a in arcs if len(a.ends) == 2)
     supports = {a for a, _ in cups}

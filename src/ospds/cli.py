@@ -202,9 +202,8 @@ def _arcs(args) -> int | None:
     elif args.render:
         print(arcmod.render_ascii(a))
     else:
-        roots = set(arcmod.maximal_arcs(a))
         for arc in a.arcs:
-            star = "*" if arc in roots else " "
+            star = "*" if arc in a.roots else " "
             ends = ",".join(map(str, arc.ends))
             print(f"{star} arc({arc.support};{ends})")
 

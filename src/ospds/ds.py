@@ -48,7 +48,7 @@ import re
 from bisect import bisect_left
 from collections import namedtuple
 
-from .arcs import _build_arcs, _sweep
+from .arcs import _sweep
 from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign,
                       atypicality, check_valid, fmt, pari)
 from .howl import _howl, howl
@@ -164,11 +164,12 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
 def _filters(h: WeightDiagram, r: int):
     """Each order filter of ``r`` arcs of ``h`` as integer rows in preorder:
     (support, subtree size in the filter, members wholly left of it, tight)."""
-    arcs = _build_arcs(h).arcs
+    _sweep(h, arcs := [])
     n = len(arcs)
     # preorder: a subtree is a run, and an arc before ``a`` encloses ``a``
     # or lies wholly left of it; the whole forest needs no order
-    arcs = sorted(arcs, key=lambda a: (a.support, -a.reach)) if r < n else arcs
+    if r < n:
+        arcs.sort(key=lambda a: (a.support, -a.reach))
     reaches = sorted([a.reach for a in arcs])
     forest = []  # (support, subtree size, arcs wholly left of it, tight)
     for p, _, ends in arcs:

@@ -3,11 +3,11 @@
 The reduction by iterated single steps is the reference for the
 order-filter route of :mod:`ospds.ds`.
 
-One step lists, for every root of the compacted diagram's arc forest,
-named by its support, and its free-left count ``e`` in
-``ArcDiagram.roots``, the diagram ``_erase``
-leaves after erasing the root's cross, lifted back into the block, with the
-graded multiplicity ``mult_rule`` reads off ``e``.  ``_erase`` erases any
+One step lists, for every maximal ``Arc`` of the compacted diagram's arc
+forest, which ``ArcDiagram.roots`` maps to its free-left count ``e``, the
+diagram ``_erase`` leaves after erasing the cross on the arc's support,
+lifted back into the block, with the graded multiplicity ``mult_rule``
+reads off ``e``.  ``_erase`` erases any
 set of crosses, as :mod:`ospds.arcs` did before ``remove_arc`` erased its
 one cross itself, and ``add`` adds up the multiplicity of a component.
 ``layers`` iterates the step over every intermediate state and composes the
@@ -46,7 +46,7 @@ second signing of each component through a ``seen`` set.
 import math
 from fractions import Fraction
 
-from ospds.arcs import DottedArcs, _build_arcs, _sweep
+from ospds.arcs import DottedArcs, _sweep, build_arcs
 from ospds.diagram import (CORE_SYMBOLS, CROSS, EMPTY, GT, LT, DomainError,
                            WeightDiagram, _fold, atypicality, build, check_valid,
                            core_of, enumerate_corefree, fmt, sigma)
@@ -110,11 +110,11 @@ def mult_rule(t: int, e: int) -> GradedMult:
 def _ds1(lam: WeightDiagram) -> Decomposition:
     """One reduction step of a diagram known to be valid."""
     g = core_of(lam)
-    diagram = _build_arcs(_howl(lam))
+    diagram = build_arcs(_howl(lam))
     out = Decomposition(lam.t)
-    for p, e in diagram.roots.items():
+    for a, e in diagram.roots.items():
         mult = mult_rule(lam.t, e)
-        for h2 in _sign_variants(_erase(diagram.base, [p])):
+        for h2 in _sign_variants(_erase(diagram.base, [a.support])):
             for nu in _unhowl(g, h2):
                 add(out, nu, mult)
     return out

@@ -227,8 +227,11 @@ def _root_e_parity_holds(h):
 
 def _roots_only_sweep_matches(h):
     """The sweep without a list gives the roots of the whole forest, with
-    the same ``e``, in the same order, and those match the reference."""
-    assert list(_sweep(h).items()) == list(build_arcs(h).roots.items()), fmt(h)
+    the same ``e``, in the same order, as the arcs keyed in ``roots``, and
+    those match the reference."""
+    A = build_arcs(h)
+    assert list(_sweep(h).items()) == [(a.support, e) for a, e in A.roots.items()], fmt(h)
+    assert all(type(a) is Arc and a in A.arcs for a in A.roots), fmt(h)
     _roots_match_the_reference(h)
 
 

@@ -224,6 +224,9 @@ _UNPINNED = [
      "+xxooxox\narc(0;3)\narc(1;2)\narc(4;5) dotted\narc(6;7) dotted\n", ""),
     (["ds", "+xoox", "--t", "1", "--osp", "--rank", "2"], 2, "",
      "error: --osp computes the rank-1 reduction\n"),
+    (["ds", "+xoox", "--t", "1", "--rank", "3"], 0, "(empty)\n", ""),
+    (["parse", "+x", "--t", "2"], 1, "+x\nviolation: t=2 requires '>' at the zero position\n"
+     "violation: t=2 diagrams carry no sign\n", ""),
     (["validate", "ox", "--t", "2"], 1,
      "violation: t=2 requires '>' at the zero position\n", ""),
     (["validate", "+>x", "--t", "2"], 1, "violation: t=2 diagrams carry no sign\n", ""),
