@@ -217,27 +217,26 @@ def _weight(h: WeightDiagram, members: list[tuple[int, int, int, bool]]) -> int:
 
 
 def _after_stack(chain: list[int], r: int) -> tuple[int, int]:
-    """Sum of 2^(arcs removed after the lowest zero cross) over the ways to
-    interleave subtrees along its ancestors, and the number of those ways.
+    """Two counts whose ratio is the mean of 2^(arcs removed after the lowest
+    zero cross) over the removal orders; only the ratio is meaningful.
 
     ``chain`` holds the subtree sizes of the zero-stack arcs, smallest first:
     the lowest zero cross, then each double-ended arc above it, which is its
-    parent, up to the top one, a root among trees of ``r`` arcs in all.
+    parent, up to the top one, a root among trees of ``r`` arcs in all.  As
+    in a Polya urn, an order starts as the cross's subtree, the cross first;
+    each parent goes first, and each arc of a sibling subtree takes one of
+    the n + 1 gaps among the n arcs below the parent so far, q + 1 of them
+    after the cross when q arcs are: after[q] <- (n - q) after[q] + q after[q - 1].
+    Each interleaving is counted b! times per level of b sibling arcs.
     """
-    after = {chain[0] - 1: 1}  # arcs after the lowest zero cross -> ways
-    orders = 1
+    after = [0] * (chain[0] - 1) + [1]  # after[q]: ways with q arcs after the cross
+    n = chain[0]
     # a virtual arc of size r + 1 above the roots changes nothing
-    for a, whole in zip(chain, chain[1:] + [r + 1]):
-        b = whole - 1 - a  # arcs in the sibling subtrees
-        merged: dict[int, int] = {}
-        for n, ways in after.items():
-            p = a - n  # position of the lowest zero cross in its subtree
-            for j in range(b + 1):  # sibling arcs removed before it
-                merged[n + b - j] = merged.get(n + b - j, 0) + ways * \
-                    math.comb(p - 1 + j, j) * math.comb(a - p + b - j, b - j)
-        after = merged
-        orders *= math.comb(a + b, b)
-    return sum(ways * 2 ** n for n, ways in after.items()), orders
+    for whole in chain[1:] + [r + 1]:
+        for n in range(n, whole - 1):  # each sibling arc takes one of the n + 1 gaps
+            after = [(n - q) * w + q * v for q, (w, v) in enumerate(zip(after + [0], [0] + after))]
+        n = whole
+    return sum(w << q for q, w in enumerate(after)), sum(after)
 
 
 def check_purity(dec: Decomposition, lam: WeightDiagram) -> bool:

@@ -41,6 +41,13 @@ the library reads the cups off the arcs of one recast diagram.
 were before each read its rule off the tail: the first two compare position
 tuples (``cross_positions``, ``core_positions``), and ``ds_osp`` drops the
 second signing of each component through a ``seen`` set.
+
+``after_stack`` is the t=0 zero-stack interleaving count of :mod:`ospds.ds`
+as a binomial convolution: it carries the distribution of the arcs removed
+after the lowest zero cross up the chain of zero-stack arcs, a dict per
+level, and counts the orders in a separate product of binomials, where the
+library inserts one sibling arc at a time and counts each interleaving b!
+times per level of b sibling arcs, so only the ratios of the two agree.
 """
 
 import math
@@ -490,3 +497,27 @@ def ds_osp(lam: WeightDiagram) -> Decomposition:
         seen.add(key)
         add(out, key, GradedMult(factor * g.d0, factor * g.d1))
     return out
+
+
+def after_stack(chain: list[int], r: int) -> tuple[int, int]:
+    """Sum of 2^(arcs removed after the lowest zero cross) over the ways to
+    interleave subtrees along its ancestors, and the number of those ways.
+
+    ``chain`` holds the subtree sizes of the zero-stack arcs, smallest first:
+    the lowest zero cross, then each double-ended arc above it, which is its
+    parent, up to the top one, a root among trees of ``r`` arcs in all.
+    """
+    after = {chain[0] - 1: 1}  # arcs after the lowest zero cross -> ways
+    orders = 1
+    # a virtual arc of size r + 1 above the roots changes nothing
+    for a, whole in zip(chain, chain[1:] + [r + 1]):
+        b = whole - 1 - a  # arcs in the sibling subtrees
+        merged: dict[int, int] = {}
+        for n, ways in after.items():
+            p = a - n  # position of the lowest zero cross in its subtree
+            for j in range(b + 1):  # sibling arcs removed before it
+                merged[n + b - j] = merged.get(n + b - j, 0) + ways * \
+                    math.comb(p - 1 + j, j) * math.comb(a - p + b - j, b - j)
+        after = merged
+        orders *= math.comb(a + b, b)
+    return sum(ways * 2 ** n for n, ways in after.items()), orders

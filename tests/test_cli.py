@@ -248,6 +248,10 @@ _UNPINNED = [
      "violation: sign present but the zero position is not a bare stack\n", ""),
     (["unhowl", "<", "-ox", "--t", "0"], 1, "", "error: '-ox' does not fit into core '<': "
      "t=0 forbids '<' at the zero position unless the diagram has no '>' and no 'x' at all\n"),
+    # the t=0 zero-stack interleaving count: chains (1, 4) and (1, 5, 6), and a cored lift
+    (["sdim", "x^2oxoox", "--t", "0", "--m", "4", "--n", "4"], 0, "-14\n", ""),
+    (["sdim", "x^3oxoxox", "--t", "0", "--m", "6", "--n", "6"], 0, "90\n", ""),
+    (["sdim", "x^2oxo>oxo", "--t", "0", "--m", "5", "--n", "4"], 0, "-28\n", ""),
 ]
 
 

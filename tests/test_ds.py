@@ -10,7 +10,8 @@ import reference
 from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality, build,
                            core_of, enumerate_corefree, fmt, is_stable, pari,
                            sigma, validate)
-from ospds.ds import Decomposition, GradedMult, check_purity, ds1, ds_osp, dsr
+from ospds.ds import (Decomposition, GradedMult, _after_stack, check_purity, ds1, ds_osp,
+                      dsr)
 from ospds.howl import UnhowlError, _howl, howl, tau, unhowl
 from ospds.translate import stabilize
 from reference import gm_mul
@@ -432,6 +433,41 @@ class TestAgainstTheOldRules:
     @given(lam=diagrams())
     def test_random_diagrams(self, lam):
         _same_as_the_old_rules(lam)
+
+
+# (chain, r) pairs that the benchmark's pool_sweep workload sends at seed 1
+_POOL_CHAINS = [([1], 2), ([1], 3), ([2], 2), ([2], 3), ([3], 3), ([1, 2], 2), ([1, 2], 3),
+                ([1, 3], 3)]
+
+
+class TestAfterStack:
+    """The insertion count of the t=0 zero-stack interleavings: only the
+    ratio of its two counts is meaningful."""
+
+    def test_ratio_matches_the_binomial_convolution(self):
+        rng = random.Random(25)
+        cases = list(_POOL_CHAINS)
+        for _ in range(2000):
+            chain = [rng.randint(1, 5)]
+            for _ in range(rng.randint(0, 5)):
+                chain.append(chain[-1] + rng.randint(1, 5))
+            cases.append((chain, chain[-1] + rng.randint(0, 5)))
+        for chain, r in cases:
+            after, orders = _after_stack(chain, r)
+            ref_after, ref_orders = reference.after_stack(chain, r)
+            assert after * ref_orders == ref_after * orders, (chain, r)
+
+    def test_closed_forms(self):
+        for r in range(1, 201):
+            # a lone root cross is uniform among r arcs: mean (2^r - 1) / r
+            after, orders = _after_stack([1], r)
+            assert after * r == (2 ** r - 1) * orders, r
+            # a cross enclosing every arc goes first: 2^(r - 1)
+            after, orders = _after_stack([r], r)
+            assert after == orders << (r - 1), r
+            # a cross under a chain of every arc goes last: 1
+            after, orders = _after_stack(list(range(1, r + 1)), r)
+            assert after == orders, r
 
 
 @pytest.mark.parametrize("call, message", [
