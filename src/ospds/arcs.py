@@ -173,18 +173,10 @@ def _draw(d: WeightDiagram, spans: list[tuple[int, int, tuple]]) -> str:
             row[column] = char
     lines = [f"diagram: {fmt(d)}"]
     lines.extend("".join(row).rstrip() for row in reversed(rows))
-    sym_row = []
-    for p in range(width):
-        if p == 0:
-            if d.zero_crosses:
-                cell = "x" if d.zero_crosses == 1 else f"x{d.zero_crosses}"
-                cell += d.zero_core or ""
-            else:
-                cell = d.zero_core or "o"
-        else:
-            cell = d.sym(p)
-        sym_row.append(cell.ljust(_CELL))
-    lines.append("".join(sym_row).rstrip())
+    stack, core = d.zero_crosses, d.zero_core or ""
+    zero = ("x" if stack == 1 else f"x{stack}") + core if stack else core or "o"
+    cells = [zero, *d.tail_symbols.ljust(width - 1, EMPTY)]
+    lines.append("".join(cell.ljust(_CELL) for cell in cells).rstrip())
     lines.append("".join(str(p).ljust(_CELL) for p in range(width)).rstrip())
     return "\n".join(lines)
 

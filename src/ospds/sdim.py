@@ -11,6 +11,7 @@ directions and every component is typical there, so the answer is 0.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .diagram import GT, DomainError, WeightDiagram, _check_counts
 from .ds import _dsr
@@ -19,24 +20,23 @@ from .weightmap import _rationals
 
 def _dim_from_shifted(N: int, a: list[int]) -> int:
     """Weyl dimension of so_N from the doubled rho-shifted weight ``a``, whose
-    coordinates are integers; the powers of 2 cancel in the quotient of the
-    products at ``a`` and at rho, so one division is exact or fails."""
+    coordinates are integers; each row of factors at ``a`` is divided by the
+    same row at rho, so the powers of 2 cancel and the quotient stays exact."""
     if N <= 2:
         return 1
     # doubled rho: (2r - 1, ..., 3, 1) for odd N, (2r - 2, ..., 2, 0) for even
-    rho = list(range(2 * len(a) - 2 + N % 2, -1, -2))
+    rho = range(2 * len(a) - 2 + N % 2, -1, -2)
 
-    def product(x: list[int]) -> int:
-        """The product of x_i^2 - x_j^2 over i < j, times every x_i for odd N."""
-        sq = [y * y for y in x]
-        # row by row, so that few products involve the large running one
-        out = math.prod(math.prod(p - q for q in sq[i + 1:]) for i, p in enumerate(sq))
-        return out * math.prod(x) if N % 2 else out
+    def row(x, i: int) -> int:
+        """The product of x_i^2 - x_j^2 over j > i, times x_i for odd N."""
+        return math.prod(x[i] ** 2 - y * y for y in x[i + 1:]) * (x[i] if N % 2 else 1)
 
-    dim, rest = divmod(product(a), product(rho))
-    if rest or dim <= 0:
+    # from the last coordinate up: the last m coordinates of a dominant weight
+    # are one of so_(2m + N % 2), so no quotient on the way outgrows the answer
+    dim = math.prod(Fraction(row(a, i), row(rho, i)) for i in reversed(range(len(a))))
+    if dim.denominator != 1 or dim <= 0:
         raise DomainError("weight is not dominant for so_%d" % N)
-    return dim
+    return int(dim)
 
 
 def weyl_dim_so(N: int, hw) -> int:

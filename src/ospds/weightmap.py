@@ -68,20 +68,17 @@ def _check_shape(w: DominantWeight) -> None:
             raise DomainError("even-series coefficients must be integers")
         if any(x < 0 for x in a[:-1]) or any(x < 0 for x in b):
             raise DomainError("coefficients must be non-negative (except the last epsilon one)")
-        for seq in (a, b):
-            for x, y in zip(seq, seq[1:]):
-                if x < y or (x == y and x != 0):
-                    raise DomainError("coefficients must strictly decrease, ties only at 0")
+        floors, ties = (0, 0), "0"
     else:
         if any((x + Q(1, 2)).denominator != 1 or x < Q(-1, 2) for x in a):
             raise DomainError("epsilon coefficients must be half-integers >= -1/2")
         if any((x - Q(1, 2)).denominator != 1 or x < Q(1, 2) for x in b):
             raise DomainError("delta coefficients must be half-integers >= 1/2")
-        for seq, floor in ((a, Q(-1, 2)), (b, Q(1, 2))):
-            for x, y in zip(seq, seq[1:]):
-                if x < y or (x == y and x != floor):
-                    raise DomainError("coefficients must strictly decrease, "
-                                      "ties only at the boundary value")
+        floors, ties = (Q(-1, 2), Q(1, 2)), "the boundary value"
+    for seq, floor in zip((a, b), floors):
+        for x, y in zip(seq, seq[1:]):
+            if x < y or (x == y and x != floor):
+                raise DomainError(f"coefficients must strictly decrease, ties only at {ties}")
 
 
 def weight_to_diagram(w: DominantWeight) -> WeightDiagram:

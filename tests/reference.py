@@ -23,8 +23,9 @@ every position list and tests every core position against every cross on
 each move.
 
 ``dim_from_shifted`` is the Weyl product of :mod:`ospds.sdim` over
-``Fraction`` factors, with a gcd on every multiplication, where the library
-multiplies doubled integer coordinates and divides once.
+``Fraction`` factors, with a gcd on every multiplication and one division at
+the end, where the library multiplies rows of doubled integer coordinates
+and divides each by the same row at rho, from the last coordinate up.
 
 ``oracle_mult1`` is the arc-free single multiplicity of :mod:`ospds.oracle`
 as it ran on compacted diagrams, each intermediate a diagram built by

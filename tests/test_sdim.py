@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -93,6 +94,29 @@ class TestWeylDim:
                 _dim_from_shifted(N, ys)
         else:
             assert _dim_from_shifted(N, ys) == want
+
+    def test_pure_cores_have_closed_forms(self):
+        # a core of r ">" and no cross is the r-th exterior power of the
+        # vector module: for so_2r+1 all of it, for so_2r one of its halves
+        for r in [*range(2, 61), 400]:
+            half, whole = math.comb(2 * r, r) // 2, math.comb(2 * r + 1, r)
+            assert superdimension(P("+o" + ">" * r, 0), r, 0) == half
+            assert superdimension(P("o" + ">" * r, 1), r, 0) == whole
+            assert weyl_dim_so(2 * r + 1, [1] * r) == whole
+            assert weyl_dim_so(2 * r, [1] * r) == half
+            assert weyl_dim_so(2 * r, [1] * (r - 1) + [-1]) == half
+
+    def test_matches_the_fraction_product_above_N_24(self):
+        # dominant doubled shifted weights: distinct, decreasing and positive
+        # of one parity, the last one negated for some even N
+        rng = random.Random(26)
+        for _ in range(40):
+            N = rng.randint(25, 81)
+            r, odd = N // 2, rng.randint(0, 1)
+            ys = sorted((2 * y - odd for y in rng.sample(range(1, 3 * r), r)), reverse=True)
+            if N % 2 == 0 and rng.random() < 0.5:
+                ys[-1] = -ys[-1]
+            assert _dim_from_shifted(N, ys) == dim_from_shifted(N, [Q(y, 2) for y in ys])
 
 
 def _mn(lam):
