@@ -21,12 +21,17 @@ zero-stack arc is a root with e = 0; a single-ended arc is a root when it
 closes inside no arc and past that top.  The N arcs left of a root fill two
 positions each, and position 0 of a t=2 diagram holds ``>``, so
 e = support - 2N - [t = 2]: e = 0 is the tightness test of :mod:`ospds.ds`.
-The sweep names a root by its unique support, 0 for the top zero-stack arc;
-unless asked for arcs it builds none, and reads no double-ended arc's ends.
-The reduction and :func:`es_dotted` read its arcs as they come;
-:func:`build_arcs`, the only builder of an :class:`ArcDiagram`, sorts them,
-zero-stack arcs first, innermost first, then by support, and maps each
-maximal :class:`Arc` to its ``e``.
+The sweep names a root by its unique support, 0 for the top zero-stack
+arc; it counts free positions and closed arcs, and pads the tail only while
+an arc is open.  Asked for arcs, it appends a plain row
+``(support, stack_index, ends, left)`` per arc, ``left`` counting the arcs
+wholly left of it: the arcs closed before it but not inside it, plus the
+double-ended arcs whose ends are all left of it.  The zero-stack arcs come
+first, outermost first, so a stable sort on the support gives preorder.
+The reduction and :func:`es_dotted` read these rows; :func:`build_arcs`,
+the only builder of an :class:`ArcDiagram` and of an :class:`Arc`, makes
+one per row, sorts them, zero-stack arcs first, innermost first, then by
+support, and maps each maximal :class:`Arc` to its ``e``.
 
 :func:`maximal_arcs`, :func:`free_left` and :func:`remove_arc` stay for
 the benchmark's tracer, and :func:`remove_arc` returns even-series results
@@ -36,15 +41,17 @@ unsigned.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .diagram import CROSS, EMPTY, GT, DomainError, WeightDiagram, check_valid, fmt
 from .howl import howl
 
 
 class Arc(namedtuple("Arc", "support stack_index ends")):
-    """One arc: its supporting cross and one or two right ends.  The sweep
-    builds every arc: the ends increase, the support lies left of them, and
-    only a zero-stack arc carries a stack index."""
+    """One arc: its supporting cross and one or two right ends.
+    :func:`build_arcs` makes each from a row of the sweep: the ends
+    increase, the support lies left of them, and only a zero-stack arc
+    carries a stack index."""
 
     __slots__ = ()
 
@@ -67,44 +74,51 @@ def build_arcs(h: WeightDiagram) -> ArcDiagram:
     check_valid(h)
     if not h.is_core_free():
         raise DomainError(f"arc diagrams attach to core-free diagrams, got {fmt(h)!r}")
-    roots = _sweep(h, arcs := [])
-    arcs.sort()
+    roots = _sweep(h, rows := [])
+    arcs = sorted(Arc(p, i, ends) for p, i, ends, _ in rows)
     # sorted, the last arc on support 0 is the top zero-stack arc
     arc = {a.support: a for a in arcs}
     return ArcDiagram(h, tuple(arcs), {arc[p]: e for p, e in roots.items()})
 
 
-def _sweep(h: WeightDiagram, arcs: list[Arc] | None = None) -> dict[int, int]:
+def _sweep(h: WeightDiagram, arcs: list[tuple] | None = None) -> dict[int, int]:
     """The roots of the arc forest of a valid core-free diagram, left to
     right, each named by its support and mapped to its ``e``; every arc is
-    appended to ``arcs`` when a list is given."""
+    appended to ``arcs`` as a row ``(support, stack_index, ends, left)``
+    when a list is given."""
     t, stack, _, tail, _ = h
     zero_single = 1 if t != 2 and stack else 0
     taken = 2 * (stack - zero_single)  # ends of the double-ended arcs
     supports = [0] if zero_single else []
-    # empty positions no single-ended arc takes, 0 when it is bare
-    free = [] if t == 2 or stack else [0]
+    # free positions so far, 0 when bare, the first ``taken`` of them listed
+    free, firsts, closed, p = 0 if t == 2 or stack else 1, [], 0, 0
     # the top double-ended arc comes first, with e = 0
     roots = {0: 0} if taken else {}
-    # enough trailing empties to close every single-ended arc
-    text = tail + EMPTY * (tail.count(CROSS) + stack - taken // 2)
-    for p, s in enumerate(text, 1):
+    # trailing empties while a single-ended arc is open
+    for p, s in enumerate(chain(tail, iter(lambda: EMPTY if supports else None, None)), 1):
         if s == CROSS:
             supports.append(p)
         elif supports:
             support = supports.pop()
-            if not supports and len(free) >= taken:  # past the zero stack's top
-                roots[support] = len(free) - taken
+            if not supports and free >= taken:  # past the zero stack's top
+                roots[support] = free - taken
             if arcs is not None:
-                arcs.append(Arc(support, 0, (p,)))
+                # the closed arcs not inside it, and the double-ended arcs
+                # whose ends are all free positions left of it
+                arcs.append((support, 0, (p,),
+                             closed - (p - support - 1) // 2 + min(free, taken) // 2))
+                closed += 1
         else:
-            free.append(p)
+            if free < taken:
+                firsts.append(p)
+            free += 1
     if taken and arcs is not None:
         # the double-ended arcs take the first free positions two at a time,
-        # innermost first; past the text every position is free
-        free.extend(range(len(text) + 1, len(text) + 1 + taken - len(free)))
-        arcs.extend(Arc(0, zero_single + i // 2, (free[i], free[i + 1]))
-                    for i in range(0, taken, 2))
+        # innermost first, and are listed outermost first; past the sweep
+        # every position is free
+        firsts.extend(range(p + 1, p + 1 + taken - len(firsts)))
+        arcs[:0] = [(0, zero_single + i // 2, (firsts[i], firsts[i + 1]), 0)
+                    for i in range(taken - 2, -1, -2)]
     return roots
 
 
@@ -241,9 +255,9 @@ def es_dotted(d: WeightDiagram, series: str) -> DottedArcs:
     keep = 1 if sign == "+" and stack > 0 else 0
     recast = (WeightDiagram._trusted(1, stack, None, h.tail_symbols, sign) if keep
               else WeightDiagram._trusted(2, stack, GT, h.tail_symbols, None))
-    _sweep(recast, arcs := [])
-    cups = sorted((a.support, a.reach) if len(a.ends) == 1 else a.ends for a in arcs)
-    dotted = frozenset(a.ends[0] for a in arcs if len(a.ends) == 2)
+    _sweep(recast, rows := [])
+    cups = sorted((p, *ends) if len(ends) == 1 else ends for p, _, ends, _ in rows)
+    dotted = frozenset(ends[0] for _, _, ends, _ in rows if len(ends) == 2)
     supports = {a for a, _ in cups}
     tail = "".join(CROSS if p in supports else EMPTY
                    for p in range(1, max(supports, default=0) + 1))

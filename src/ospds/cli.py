@@ -235,8 +235,8 @@ def _ds(args) -> int | None:
         return
     if not dec.components:
         print("(empty)")
-    for c, g in dec.items_sorted():
-        print(f"{fmt(c):<20} {g}")
+    for text, g in sorted((fmt(c), g) for c, g in dec.components.items()):
+        print(f"{text:<20} {g}")
 
 
 def _oracle(args) -> int | None:

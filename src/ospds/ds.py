@@ -25,8 +25,10 @@ crosses and the ends of arcs inside it.
 
 Rank 1 reads the table straight off the roots of the sweep, one component
 per root named by its support: (1|0) when e = 0, as at the zero stack, else
-``_ROOT_MULT[t != 0][e & 1]``.  Rank 2 and up erase each filter, read as
-integer rows, in one list copy of lam's tail, and :func:`_weight` gives W:
+``_ROOT_MULT[t != 0][e & 1]``.  Rank 2 and up read the filters off the
+sweep's rows, which carry each arc's support, ends and count of arcs wholly
+left of it, erase each filter in one list copy of lam's tail, and
+:func:`_weight` gives W:
 
 * t = 1, 2: a step counts 2, or 1 when ``e`` is 0: when the arc is tight,
   the N arcs wholly to its left in the forest filling every position before
@@ -47,6 +49,7 @@ import math
 import re
 from bisect import bisect_left
 from collections import namedtuple
+from operator import itemgetter
 
 from .arcs import _sweep
 from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign,
@@ -84,16 +87,13 @@ class Decomposition(namedtuple("Decomposition", "t components")):
     def get(self, d: WeightDiagram) -> GradedMult:
         return self.components.get(d, ZERO)
 
-    def items_sorted(self):
-        return sorted(self.components.items(), key=lambda kv: fmt(kv[0]))
-
     def to_json(self, source: WeightDiagram, rank: int) -> dict:
         return {
             "t": self.t,
             "rank": rank,
             "input": fmt(source),
-            "components": [{"diagram": fmt(d), "d0": g.d0, "d1": g.d1}
-                           for d, g in self.items_sorted()],
+            "components": [{"diagram": text, "d0": g.d0, "d1": g.d1} for text, g
+                           in sorted((fmt(d), g) for d, g in self.components.items())],
         }
 
 
@@ -163,18 +163,19 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
 
 def _filters(h: WeightDiagram, r: int):
     """Each order filter of ``r`` arcs of ``h`` as integer rows in preorder:
-    (support, subtree size in the filter, members wholly left of it, tight)."""
+    (support, subtree size in the filter, members wholly left of it, tight),
+    the forest's read off the sweep's rows."""
     _sweep(h, arcs := [])
     n = len(arcs)
     # preorder: a subtree is a run, and an arc before ``a`` encloses ``a``
-    # or lies wholly left of it; the whole forest needs no order
+    # or lies wholly left of it; the sweep lists the zero-stack arcs
+    # outermost first, and the whole forest needs no order
     if r < n:
-        arcs.sort(key=lambda a: (a.support, -a.reach))
-    reaches = sorted([a.reach for a in arcs])
-    forest = []  # (support, subtree size, arcs wholly left of it, tight)
-    for p, _, ends in arcs:
-        left = bisect_left(reaches, p)
-        forest.append((p, (ends[-1] - p + 1) // 2, left, p in (0, 2 * left + (h.t == 2))))
+        arcs.sort(key=itemgetter(0))
+    t2 = h.t == 2
+    # (support, subtree size, arcs wholly left of it, tight)
+    forest = [(p, (ends[-1] - p + 1) // 2, left, p in (0, 2 * left + t2))
+              for p, _, ends, left in arcs]
     if r == n:
         yield forest
         return

@@ -68,8 +68,11 @@ def weyl_dim_so(N: int, hw) -> int:
 
 def _core_dim(lam: WeightDiagram) -> int:
     """Ordinary so-dimension of ``lam`` with no ``<``, its crosses erased."""
-    positions = sorted((p for p, s in enumerate(lam.tail_symbols, 1) if s == GT),
-                       reverse=True)
+    tail, positions = lam.tail_symbols, []
+    q = tail.rfind(GT)
+    while q >= 0:  # right to left: the coordinates decrease
+        positions.append(q + 1)
+        q = tail.rfind(GT, 0, q)
     if lam.zero_core == GT:
         positions.append(0)
     # the doubled shifted coordinates: 2p + 1 for the odd series, 2p for the even

@@ -49,9 +49,18 @@ after the lowest zero cross up the chain of zero-stack arcs, a dict per
 level, and counts the orders in a separate product of binomials, where the
 library inserts one sibling arc at a time and counts each interleaving b!
 times per level of b sibling arcs, so only the ratios of the two agree.
+
+``forest_rows`` builds the forest rows of :func:`ospds.ds._filters` from
+``build_arcs(h).arcs``, in preorder by (support, -reach), each arc's count
+of arcs wholly left of it read by bisecting the sorted reaches, where the
+library's sweep counts them as it goes; ``filter_rows`` lists, in the
+library's order, the rows of every order filter of ``r`` of those arcs,
+each count taken from its definition over all r-subsets.
 """
 
+import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from ospds.arcs import DottedArcs, _sweep, build_arcs
@@ -522,3 +531,35 @@ def after_stack(chain: list[int], r: int) -> tuple[int, int]:
         after = merged
         orders *= math.comb(a + b, b)
     return sum(ways * 2 ** n for n, ways in after.items()), orders
+
+
+def forest_rows(h: WeightDiagram) -> list[tuple[int, int, int, bool]]:
+    """(support, subtree size, arcs wholly left of it, tight) for each arc
+    of a core-free diagram, in preorder."""
+    arcs = sorted(build_arcs(h).arcs, key=lambda a: (a.support, -a.reach))
+    reaches = sorted(a.reach for a in arcs)
+    rows = []
+    for a in arcs:
+        left = bisect_left(reaches, a.support)
+        rows.append((a.support, (a.reach - a.support + 1) // 2, left,
+                     a.support in (0, 2 * left + (h.t == 2))))
+    return rows
+
+
+def filter_rows(h: WeightDiagram, r: int) -> list[list[tuple[int, int, int, bool]]]:
+    """The rows of each order filter of ``r`` arcs of ``h``, as ``_filters``
+    yields them: every r-subset of the preorder forest that holds the parent
+    of each member, in lexicographic order, each member's subtree and the
+    members wholly left of it counted in the subset."""
+    forest = forest_rows(h)
+    end = [i + size for i, (_, size, _, _) in enumerate(forest)]  # past each subtree
+    parent = [max((j for j in range(i) if end[j] > i), default=None)
+              for i in range(len(forest))]
+    out = []
+    for members in itertools.combinations(range(len(forest)), r):
+        if any(parent[i] is not None and parent[i] not in members for i in members):
+            continue
+        out.append([(p, sum(i <= j < end[i] for j in members),
+                     sum(end[j] <= i for j in members), tight)
+                    for i in members for p, _, _, tight in (forest[i],)])
+    return out

@@ -10,8 +10,8 @@ import reference
 from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality, build,
                            core_of, enumerate_corefree, fmt, is_stable, pari,
                            sigma, validate)
-from ospds.ds import (Decomposition, GradedMult, _after_stack, check_purity, ds1, ds_osp,
-                      dsr)
+from ospds.ds import (Decomposition, GradedMult, _after_stack, _filters, check_purity, ds1,
+                      ds_osp, dsr)
 from ospds.howl import UnhowlError, _howl, howl, tau, unhowl
 from ospds.translate import stabilize
 from reference import gm_mul
@@ -433,6 +433,34 @@ class TestAgainstTheOldRules:
     @given(lam=diagrams())
     def test_random_diagrams(self, lam):
         _same_as_the_old_rules(lam)
+
+
+def _same_filters_as_the_bisected_reaches(h):
+    """Every order filter of ``h`` from the sweep's rows, against the rows
+    built from sorted reaches: the exact order below the whole forest, the
+    rows as a set at it."""
+    n = atypicality(h)
+    for r in range(1, n):
+        assert list(_filters(h, r)) == reference.filter_rows(h, r), (fmt(h), r)
+    if n:
+        assert [sorted(f) for f in _filters(h, n)] == [sorted(reference.forest_rows(h))], fmt(h)
+
+
+class TestFilterRows:
+    """The sweep counts the arcs wholly left of each arc as it goes, and lists
+    the zero-stack arcs outermost first for a sort on the support alone."""
+
+    def test_pool(self, corefree_pool):
+        stacks = set()
+        for h in corefree_pool:
+            _same_filters_as_the_bisected_reaches(h)
+            stacks.add((h.t, h.zero_crosses))
+        assert {(t, 4) for t in (0, 1, 2)} <= stacks
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=diagrams())
+    def test_random_diagrams(self, lam):
+        _same_filters_as_the_bisected_reaches(_howl(lam))
 
 
 # (chain, r) pairs that the benchmark's pool_sweep workload sends at seed 1
