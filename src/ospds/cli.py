@@ -1,25 +1,33 @@
 """Command-line surface.
 
-:func:`_mk_parser` declares each subcommand together with its handler.  Every
-subcommand that reads a diagram takes ``--t {0,1,2}``; a diagram string alone
-cannot always decide the series (a leading ``>`` is a type-1 core symbol or
-the type-2 marker).  Exit codes: 0 success, 1 domain error, 2 usage or parse
-error (with the grammar printed).  All output is deterministic, and every
-integer prints in full, however many digits it has.
+:data:`_COMMANDS` declares each subcommand once: its handler, help,
+positionals and options, each option as the keyword arguments of argparse's
+``add_argument``.  Every subcommand that reads a diagram takes
+``--t {0,1,2}``; a diagram string alone cannot always decide the series (a
+leading ``>`` is a type-1 core symbol or the type-2 marker).  Exit codes: 0
+success, 1 domain error, 2 usage or parse error (with the grammar printed).
+All output is deterministic, and every integer prints in full, however many
+digits it has.
 
-The argument parser is built once per process, on the first call of
-:func:`main`, and never changed afterwards: argparse keeps no state between
-``parse_args`` calls, and writes usage and errors to the ``sys.stdout`` and
-``sys.stderr`` of the moment.  Importing the module builds nothing.
+Two things read the table.  :func:`_read` builds the handler's namespace
+straight off a well-formed argv: the subcommand, its positionals, then its
+exact option strings, each value converted by the option's own type and
+held by its choices.  On anything else it hands over to the argparse parser
+that :func:`_mk_parser` builds from the same table, which writes help, usage
+and errors.  That parser is built once per process, on the first argv the
+reader hands over, and never changed afterwards: argparse keeps no state
+between ``parse_args`` calls, and writes usage and errors to the
+``sys.stdout`` and ``sys.stderr`` of the moment.  Importing the module
+imports no argparse and builds nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import arcs as arcmod
 from . import diagram as dg
@@ -32,65 +40,72 @@ from .translate import stabilize
 from .weightmap import parse_weight, weight_to_diagram
 
 
-def _command(sub, name: str, help: str, run, *positionals: str,
-             t_help: str | None = "block type of the diagram",
-             t_required: bool = True) -> argparse.ArgumentParser:
-    """Declare subcommand ``name``: its positionals, ``--t`` and the handler
-    ``run(args)``, which returns the exit code, None for 0 as in ``sys.exit``."""
-    p = sub.add_parser(name, help=help)
-    for positional in positionals:
-        p.add_argument(positional)
-    p.add_argument("--t", type=int, required=t_required, choices=(0, 1, 2), help=t_help)
-    p.set_defaults(run=run)
-    return p
-
-
 @functools.cache
 def _mk_parser() -> argparse.ArgumentParser:
+    import argparse
+
     ap = argparse.ArgumentParser(prog="ospds",
                                  description="weight-diagram calculus for osp(m|2n)")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = _command(sub, "parse", "parse a diagram or a 'B m n / a,.. / b,..' weight",
-                 _parse, "input", t_help=None, t_required=False)
-    p.add_argument("--json", action="store_true")
-    _command(sub, "validate", "report well-formedness violations", _validate, "diagram")
-    _command(sub, "core", "core diagram (crosses erased)", _core, "diagram")
-    _command(sub, "howl", "core-free companion in the principal block", _howl, "diagram")
-    _command(sub, "unhowl", "lift a core-free diagram into a core", _unhowl,
-             "core", "corefree", t_help=None)
-    p = _command(sub, "tau", "type-2 <-> type-1 core-free bijection", _tau, "diagram")
-    p.add_argument("--inverse", action="store_true")
-    _command(sub, "stabilize", "move crosses in front of the core symbols", _stabilize,
-             "diagram")
-    p = _command(sub, "arcs", "arc diagram, maximal arcs", _arcs, "diagram")
-    p.add_argument("--render", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p = _command(sub, "es", "dotted-cup companion diagram", _es, "diagram", t_help=None)
-    p.add_argument("--series", required=True, choices=("B", "D"))
-    p.add_argument("--render", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p = _command(sub, "ds", "reduction of a simple module's diagram", _ds, "diagram")
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--osp", action="store_true",
-                   help="multiplicities for the full orthosymplectic group")
-    p = _command(sub, "oracle", "one multiplicity via the recursion", _oracle,
-                 "lam", "nu", t_help=None)
-    p.add_argument("--trace", action="store_true")
-    p = _command(sub, "sdim", "superdimension of a simple module", _sdim, "diagram")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p = _command(sub, "enumerate", "all core-free diagrams of given size", _enumerate,
-                 t_help=None)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
+    for name, (run, help, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(run=run)
     return ap
 
 
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for ``argv``, read straight off
+    :data:`_COMMANDS`, or None unless ``argv`` has the canonical shape: an
+    exact subcommand name, its positionals, none starting with ``-``, then
+    only its exact option strings, each valued one followed by a value that
+    does not start with ``-``, that the option's type converts and that its
+    choices hold.  A repeated option keeps its last value, and a required
+    one left out gives None."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    run, _, positionals, options = command
+    n = len(positionals) + 1
+    values = argv[1:n]
+    if len(values) < len(positionals) or any(a[:1] == "-" for a in values):
+        return None
+    given = {}
+    rest = iter(argv[n:])
+    for flag in rest:
+        spec = options.get(flag)
+        if spec is None:
+            return None
+        if "action" in spec:                # store_true
+            given[flag] = True
+            continue
+        text = next(rest, None)
+        if text is None or text[:1] == "-":
+            return None
+        try:
+            given[flag] = value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+    args = SimpleNamespace(cmd=argv[0], run=run, **dict(zip(positionals, values)))
+    for flag, spec in options.items():
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            value = False if "action" in spec else spec.get("default")
+        setattr(args, flag.lstrip("-"), value)
+    return args
+
+
 def _shield_signed_diagrams(argv: list[str]) -> list[str]:
-    """Keep argparse from reading a '-'-signed diagram as a flag.  A leading
-    space is harmless: the diagram parser strips it."""
+    """Keep the reader and argparse from reading a '-'-signed diagram as a
+    flag.  A leading space is harmless: the diagram parser strips it."""
     return [" " + a if len(a) > 1 and a[0] == "-" and a[1] in "xo<>" else a
             for a in argv]
 
@@ -112,12 +127,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str]) -> int:
-    try:
-        args = _mk_parser().parse_args(_shield_signed_diagrams(argv))
-    except SystemExit as e:
-        return 0 if e.code == 0 else 2
+    argv = _shield_signed_diagrams(argv)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _mk_parser().parse_args(argv)
+        except SystemExit as e:
+            return 0 if e.code == 0 else 2
 
-    # print every integer in full; argparse has read the flags under the limit
+    # print every integer in full; the flags have been read under the limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -235,8 +253,10 @@ def _ds(args) -> int | None:
         return
     if not dec.components:
         print("(empty)")
+    # equal multiplicities are common, and int-to-str is quadratic in digits
+    mult = functools.cache(str)
     for text, g in sorted((fmt(c), g) for c, g in dec.components.items()):
-        print(f"{text:<20} {g}")
+        print(f"{text:<20} {mult(g)}")
 
 
 def _oracle(args) -> int | None:
@@ -255,6 +275,45 @@ def _sdim(args) -> int | None:
 def _enumerate(args) -> int | None:
     for d in dg._iter_corefree(args.t, args.k, args.width):
         print(fmt(d))
+
+
+# --t, the block type, of every subcommand that reads a diagram
+_T = {"type": int, "required": True, "choices": (0, 1, 2),
+      "help": "block type of the diagram"}
+_FLAG = {"action": "store_true"}
+
+# name -> (handler, help, positionals, {option string: add_argument keywords});
+# the handler returns the exit code, None for 0 as in ``sys.exit``
+_COMMANDS = {
+    "parse": (_parse, "parse a diagram or a 'B m n / a,.. / b,..' weight", ("input",),
+              {"--t": {**_T, "required": False, "help": None}, "--json": _FLAG}),
+    "validate": (_validate, "report well-formedness violations", ("diagram",), {"--t": _T}),
+    "core": (_core, "core diagram (crosses erased)", ("diagram",), {"--t": _T}),
+    "howl": (_howl, "core-free companion in the principal block", ("diagram",),
+             {"--t": _T}),
+    "unhowl": (_unhowl, "lift a core-free diagram into a core", ("core", "corefree"),
+               {"--t": {**_T, "help": None}}),
+    "tau": (_tau, "type-2 <-> type-1 core-free bijection", ("diagram",),
+            {"--t": _T, "--inverse": _FLAG}),
+    "stabilize": (_stabilize, "move crosses in front of the core symbols", ("diagram",),
+                  {"--t": _T}),
+    "arcs": (_arcs, "arc diagram, maximal arcs", ("diagram",),
+             {"--t": _T, "--render": _FLAG, "--json": _FLAG}),
+    "es": (_es, "dotted-cup companion diagram", ("diagram",),
+           {"--t": {**_T, "help": None}, "--series": {"required": True, "choices": ("B", "D")},
+            "--render": _FLAG, "--json": _FLAG}),
+    "ds": (_ds, "reduction of a simple module's diagram", ("diagram",),
+           {"--t": _T, "--rank": {"type": int, "default": 1}, "--json": _FLAG,
+            "--osp": {**_FLAG, "help": "multiplicities for the full orthosymplectic group"}}),
+    "oracle": (_oracle, "one multiplicity via the recursion", ("lam", "nu"),
+               {"--t": {**_T, "help": None}, "--trace": _FLAG}),
+    "sdim": (_sdim, "superdimension of a simple module", ("diagram",),
+             {"--t": _T, "--m": {"type": int, "required": True},
+              "--n": {"type": int, "required": True}}),
+    "enumerate": (_enumerate, "all core-free diagrams of given size", (),
+                  {"--t": {**_T, "help": None}, "-k": {"type": int, "required": True},
+                   "--width": {"type": int, "required": True}}),
+}
 
 
 if __name__ == "__main__":

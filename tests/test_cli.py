@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ospds import cli
 from ospds.cli import main
 from ospds.diagram import DomainError, ParseError, parse, validate
 
@@ -339,6 +342,16 @@ def test_import_builds_no_parser():
     assert (proc.returncode, out) == (0, b"0\n")
 
 
+def test_well_formed_call_imports_no_argparse():
+    script = ("import sys\n"
+              "import ospds.cli\n"
+              "code = ospds.cli.main(['ds', '+xoox', '--t', '1'])\n"
+              "print(code, 'argparse' in sys.modules)\n")
+    proc = _python("-c", script, stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=60)
+    assert (proc.returncode, out.splitlines()[-1]) == (0, b"0 False")
+
+
 def test_closed_pipe_exits_1_without_a_traceback():
     """``ospds enumerate ... | head -n 1``: the reader leaves after one line."""
     proc = _python("-m", "ospds.cli", "enumerate", "--t", "0", "-k", "2", "--width", "400",
@@ -509,3 +522,55 @@ def _argv(draw):
 @given(argv=_argv())
 def test_cli_fuzz_never_raises(argv):
     assert main(argv) in (0, 1, 2)
+
+
+# -- the argv reader against argparse ---------------------------------------------
+
+def _parsed(argv: list[str]) -> dict | None:
+    """The namespace argparse builds for ``argv``, None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._mk_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _reads_as_argparse(argv: list[str]) -> bool:
+    """Whether the reader takes ``argv``: where it does, argparse builds the
+    same namespace."""
+    argv = cli._shield_signed_diagrams(argv)
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == _parsed(argv), argv
+    return args is not None
+
+
+@pytest.mark.parametrize("entry", PINNED, ids=lambda e: " ".join(e["argv"]))
+def test_pinned_argv_reads_as_argparse(entry):
+    # a well-formed call never falls through to argparse
+    assert _reads_as_argparse(entry["argv"]) or entry["code"] != 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_argv_reads_as_argparse(argv):
+    _reads_as_argparse(argv)
+
+
+_OPTIONS = sorted({flag for *_, options in cli._COMMANDS.values() for flag in options})
+_EDGE = ["--js", "--t=1", "-k3", "--", "-h", "-", "", " 1", "1_0", "-1", "9" * 5000]
+_soup_token = st.one_of(st.sampled_from(_EDGE), st.sampled_from(_OPTIONS),
+                        st.sampled_from(["0", "1", "2", "3", "B", "D", "+xoox", "-x", "x^2"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.one_of(_argv(), st.sampled_from(sorted(_COMMANDS)).map(lambda cmd: [cmd])),
+       extra=st.lists(st.tuples(st.integers(0, 12), _soup_token), max_size=8))
+def test_edge_tokens_read_as_argparse(argv, extra):
+    # options before positionals, repeats, abbreviations, '--opt=value',
+    # attached values, negative and unconvertible numbers, inside a
+    # well-formed argv or after a bare subcommand
+    for at, token in extra:
+        argv.insert(at, token)
+    _reads_as_argparse(argv)
