@@ -373,8 +373,13 @@ def pari(d: WeightDiagram) -> int:
     """
     if not d.is_core_free():
         raise DomainError("pari is defined on core-free diagrams")
+    return _parity(d.t, d.tail_symbols)
+
+
+def _parity(t: int, tail: str) -> int:
+    """:func:`pari` of the core-free diagram of type ``t`` with ``tail``."""
     # tail index i is position p = i + 1, and a cross counts p - [t = 2]
-    return -1 if d.tail_symbols[d.t == 2::2].count(CROSS) % 2 else 1
+    return -1 if tail[t == 2::2].count(CROSS) % 2 else 1
 
 
 def enumerate_corefree(t: int, k: int, width: int) -> list[WeightDiagram]:

@@ -52,9 +52,9 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .arcs import _sweep
-from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign,
-                      atypicality, check_valid, fmt, pari)
-from .howl import _howl, howl
+from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign, _parity,
+                      atypicality, check_valid, fmt)
+from .howl import _compact, _howl
 
 
 class GradedMult(namedtuple("GradedMult", "d0 d1")):
@@ -73,6 +73,7 @@ ZERO = GradedMult(0, 0)
 ONE = GradedMult(1, 0)
 # the rank-1 table of the module docstring for e > 0: _ROOT_MULT[t != 0][e & 1]
 _ROOT_MULT = ((ONE, GradedMult(0, 1)), (GradedMult(2, 0), GradedMult(0, 2)))
+_FREE_RUNS = re.compile("[ox]+")  # the runs of a tail free of the core
 
 
 class Decomposition(namedtuple("Decomposition", "t components")):
@@ -126,7 +127,7 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
         at = range(-1, len(tail))
     else:
         at = [] if t != 2 and core is not None else [None]
-        for m in re.finditer("[ox]+", tail):  # runs free of the core
+        for m in _FREE_RUNS.finditer(tail):
             at += range(*m.span())
     components = out.components
     both = (lam.sign,) if t == 1 else ("+", "-")
@@ -242,15 +243,14 @@ def _after_stack(chain: list[int], r: int) -> tuple[int, int]:
 
 def check_purity(dec: Decomposition, lam: WeightDiagram) -> bool:
     """No component may occur together with its parity shift, and the grading
-    of each component must be the source grading twisted by the shift."""
-    base = pari(howl(lam))
+    of each component must be the source grading twisted by the shift: the
+    grading of a diagram is ``pari`` of its compaction."""
+    base = _parity(lam.t, _compact(check_valid(lam))[1])
     for nu, (d0, d1) in dec.components.items():
         if d0 and d1:
             return False
-        p = pari(howl(nu))
-        if d0 and p != base:
-            return False
-        if d1 and p != -base:
+        p = _parity(nu.t, _compact(check_valid(nu))[1])
+        if d0 and p != base or d1 and p != -base:
             return False
     return True
 

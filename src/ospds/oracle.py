@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _fold,
-                      atypicality, check_valid, fmt)
+                      check_valid, fmt)
 from .ds import GradedMult, ZERO
 from .howl import _compact
 
@@ -48,11 +48,11 @@ class Step(namedtuple("Step", "rule source target")):
         return f"{self.rule:<16} {self.source}  /  {self.target}"
 
 
-def _note(trace: list[Step] | None, rule: str, t: int, f, g) -> None:
+def _note(trace: list[Step], rule: str, t: int, f, g) -> None:
     """Record a step; ``f`` and ``g`` are diagrams or fields of type ``t``,
-    never text, and fields become a diagram here only."""
-    if trace is not None:
-        trace.append(Step(rule, _show(t, f), _show(t, g)))
+    never text, and fields become a diagram here only.  Callers build the
+    arguments under ``trace is not None`` only."""
+    trace.append(Step(rule, _show(t, f), _show(t, g)))
 
 
 def _show(t: int, x) -> str:
@@ -61,9 +61,12 @@ def _show(t: int, x) -> str:
     return fmt(x)
 
 
-def _base(stack: int, tail: str, scale: int) -> GradedMult:
-    """Atypicality-one source against the empty target; a lone off-zero
-    cross counts ``scale`` times."""
+def _base(trace: list[Step] | None, rule: str, t: int, stack: int, tail: str,
+          sign: str | None, scale: int) -> GradedMult:
+    """Atypicality-one source, reached by ``rule``, against the empty
+    target; a lone off-zero cross counts ``scale`` times."""
+    if trace is not None:
+        _note(trace, rule, t, (stack, tail, sign), _EMPTY_TARGET)
     if stack == 1:
         return GradedMult(1, 0)
     u = tail.index(CROSS) + 1
@@ -73,20 +76,23 @@ def _base(stack: int, tail: str, scale: int) -> GradedMult:
 def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
                  trace: list[Step] | None = None) -> GradedMult:
     """Graded multiplicity of ``nu`` in the rank-1 reduction of ``lam``."""
-    t, _, core, tail, _ = check_valid(lam)
-    nt, _, ncore, ntail, _ = check_valid(nu)
+    t, stack, core, tail, _ = check_valid(lam)
+    nt, nstack, ncore, ntail, _ = check_valid(nu)
     if t != nt:
         raise DomainError("source and target must share the block type")
     # same t, zero core and crossless tail: same core (the t=0 sign follows)
     if (core != ncore or tail.replace(CROSS, EMPTY).rstrip(EMPTY)
             != ntail.replace(CROSS, EMPTY).rstrip(EMPTY)):
-        _note(trace, "cores differ", t, lam, nu)
+        if trace is not None:
+            _note(trace, "cores differ", t, lam, nu)
         return ZERO
-    if atypicality(lam) - atypicality(nu) != 1:
-        _note(trace, "wrong atyp gap", t, lam, nu)
+    if stack + tail.count(CROSS) - nstack - ntail.count(CROSS) != 1:  # the atypicality gap
+        if trace is not None:
+            _note(trace, "wrong atyp gap", t, lam, nu)
         return ZERO
     (p, tail, sign), (i, gtail, gsign) = _compact(lam), _compact(nu)
-    _note(trace, "compact", t, (p, tail, sign), (i, gtail, gsign))
+    if trace is not None:
+        _note(trace, "compact", t, (p, tail, sign), (i, gtail, gsign))
 
     # eat the target's off-zero crosses from the right: the source must show
     # cross/empty at tail indices (j, j+1), j+1 possibly past its stored
@@ -95,7 +101,8 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
     j = gtail.rfind(CROSS)
     while j >= 0:
         if tail[j:j + 2] not in (CROSS + EMPTY, CROSS):
-            _note(trace, "no cross/empty", t, (p, tail, sign), (i, gtail[:j + 1], gsign))
+            if trace is not None:
+                _note(trace, "no cross/empty", t, (p, tail, sign), (i, gtail[:j + 1], gsign))
             return ZERO
         tail = tail[:j] + tail[j + 2:]
         if trace is not None:
@@ -106,8 +113,7 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
         return _reduce_odd(p, tail, sign, i, gsign, trace)
     if t == 0:
         if i == 0:
-            _note(trace, "base even", 0, (p, tail, sign), _EMPTY_TARGET)
-            return _base(p, tail, 1)
+            return _base(trace, "base even", 0, p, tail, sign, 1)
         return _even_stack(p, tail, sign, i, trace)
     return _type2(p, tail, i, trace, double_bare=True)
 
@@ -116,13 +122,14 @@ def _reduce_odd(p: int, tail: str, sign: str | None, i: int, gsign: str | None,
                 trace: list[Step] | None) -> GradedMult:
     """Odd-series source against the bare-stack target of size i."""
     if i == 0:
-        _note(trace, "base odd", 1, (p, tail, sign), _EMPTY_TARGET)
-        return _base(p, tail, 2)
+        return _base(trace, "base odd", 1, p, tail, sign, 2)
     if gsign == "+":
         sign, gsign = {"+": "-", "-": "+"}.get(sign), "-"
-        _note(trace, "flip signs", 1, (p, tail, sign), (i, "", gsign))
+        if trace is not None:
+            _note(trace, "flip signs", 1, (p, tail, sign), (i, "", gsign))
     if sign != "-" or p < i:
-        _note(trace, "stack mismatch", 1, (p, tail, sign), (i, "", gsign))
+        if trace is not None:
+            _note(trace, "stack mismatch", 1, (p, tail, sign), (i, "", gsign))
         return ZERO
     # the gap is the empty run from position 1: the tail is core-free, so
     # only a cross ends it, and none means it never ends
@@ -134,11 +141,10 @@ def _reduce_odd(p: int, tail: str, sign: str | None, i: int, gsign: str | None,
         rule, stack = "shorten gap", p - i
         sign = "-" if stack else None
     else:
-        _note(trace, "gap too short", 1, (p, tail, sign), (i, "", gsign))
+        if trace is not None:
+            _note(trace, "gap too short", 1, (p, tail, sign), (i, "", gsign))
         return ZERO
-    tail = tail[2 * i:]
-    _note(trace, rule, 1, (stack, tail, sign), _EMPTY_TARGET)
-    return _base(stack, tail, 2)
+    return _base(trace, rule, 1, stack, tail[2 * i:], sign, 2)
 
 
 def _even_stack(p: int, tail: str, sign: str | None, i: int,
@@ -146,9 +152,11 @@ def _even_stack(p: int, tail: str, sign: str | None, i: int,
     """Even-series source against the bare-stack target of size i >= 1:
     trade one stack cross for the zero ``>`` and continue in type 2."""
     if p == 0 or tail[:1] == CROSS:
-        _note(trace, "stack mismatch", 0, (p, tail, sign), (i, "", None))
+        if trace is not None:
+            _note(trace, "stack mismatch", 0, (p, tail, sign), (i, "", None))
         return ZERO
-    _note(trace, "to type 2", 2, (p - 1, tail[1:], None), (i - 1, "", None))
+    if trace is not None:
+        _note(trace, "to type 2", 2, (p - 1, tail[1:], None), (i - 1, "", None))
     return _type2(p - 1, tail[1:], i - 1, trace, double_bare=False)
 
 
@@ -158,11 +166,13 @@ def _type2(p: int, tail: str, i: int, trace: list[Step] | None,
     if i >= 1:
         j = tail.find(CROSS)
         if p < i or 0 <= j < 2 * i:
-            _note(trace, "stack mismatch", 2, (p, tail, None), (i, "", None))
+            if trace is not None:
+                _note(trace, "stack mismatch", 2, (p, tail, None), (i, "", None))
             return ZERO
         p, tail = p - i, tail[2 * i:]
-        _note(trace, "shorten gap", 2, (p, tail, None), _EMPTY_TARGET)
+        if trace is not None:
+            _note(trace, "shorten gap", 2, (p, tail, None), _EMPTY_TARGET)
     # target is the bare ``>``: drop it and return to the even series
     stack, tail, _ = _fold(p, tail)
-    _note(trace, "drop zero >", 0, (stack, tail, None), _EMPTY_TARGET)
-    return _base(stack, tail, 2 if double_bare and stack == 0 else 1)
+    return _base(trace, "drop zero >", 0, stack, tail, None,
+                 2 if double_bare and stack == 0 else 1)

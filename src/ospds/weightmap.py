@@ -21,11 +21,26 @@ from .diagram import (CROSS, EMPTY, GT, LT, MAX_WIDTH, DomainError, ParseError,
 Q = Fraction
 # the symbol at a position past 0 from its (epsilon, delta) coordinate counts
 _SYMBOL = {(0, 0): EMPTY, (1, 0): GT, (0, 1): LT, (1, 1): CROSS}
+# a decimal literal with an exponent, in the grammar ``Fraction`` reads; not
+# compiled at import, which every start of the CLI would pay
+_EXPONENT = (r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+             r"[eE][-+]?(\d+(?:_\d+)*)\s*")
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse an exponent longer than the cap before ``Fraction`` expands it."""
+    m = re.fullmatch(_EXPONENT, text)
+    if m and len(m[1].replace("_", "").lstrip("0")) > len(str(MAX_WIDTH)):
+        raise DomainError(f"weight number exponent longer than the cap MAX_WIDTH = {MAX_WIDTH}")
 
 
 def _rational(x) -> Fraction:
     """``Fraction(x)``, refusing with :class:`DomainError` what it cannot read
     (infinities, NaN, text that is no number, non-numbers)."""
+    if type(x) is Q:
+        return x
+    if isinstance(x, str):
+        _check_exponent(x)
     try:
         return Q(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -61,39 +76,42 @@ class DominantWeight(namedtuple("DominantWeight", "series m n a b")):
         return cls(*fields)
 
 
-def _check_shape(w: DominantWeight) -> None:
-    a, b = w.a, w.b
+def _check_shape(w: DominantWeight) -> tuple[list[int], list[int]]:
+    """Refuse coefficients of the wrong kind or order; returns each 2x as an int."""
+    # 2x, or None where it is no integer
+    a, b = ([x.numerator * (2 // x.denominator) if x.denominator <= 2 else None for x in xs]
+            for xs in (w.a, w.b))
     if w.series == "D":
-        if any(x.denominator != 1 for x in a + b):
+        if any(x is None or x & 1 for x in a + b):
             raise DomainError("even-series coefficients must be integers")
         if any(x < 0 for x in a[:-1]) or any(x < 0 for x in b):
             raise DomainError("coefficients must be non-negative (except the last epsilon one)")
         floors, ties = (0, 0), "0"
     else:
-        if any((x + Q(1, 2)).denominator != 1 or x < Q(-1, 2) for x in a):
+        if any(x is None or not x & 1 or x < -1 for x in a):
             raise DomainError("epsilon coefficients must be half-integers >= -1/2")
-        if any((x - Q(1, 2)).denominator != 1 or x < Q(1, 2) for x in b):
+        if any(x is None or not x & 1 or x < 1 for x in b):
             raise DomainError("delta coefficients must be half-integers >= 1/2")
-        floors, ties = (Q(-1, 2), Q(1, 2)), "the boundary value"
+        floors, ties = (-1, 1), "the boundary value"
     for seq, floor in zip((a, b), floors):
         for x, y in zip(seq, seq[1:]):
             if x < y or (x == y and x != floor):
                 raise DomainError(f"coefficients must strictly decrease, ties only at {ties}")
+    return a, b
 
 
 def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
     """Diagram of a shifted dominant weight; rejects non-dominant input and
     coordinates above :data:`~ospds.diagram.MAX_WIDTH`."""
-    _check_shape(w)
-    shift = Q(1, 2) if w.series == "B" else Q(0)
-    acoord = [abs(x) - shift for x in w.a]
-    bcoord = [abs(x) - shift for x in w.b]
+    a, b = _check_shape(w)
+    # |2x| is odd in the odd series, whose positions shift down one half
+    shift = w.series == "B"
+    acoord, bcoord = ([(abs(x) - shift) >> 1 for x in xs] for xs in (a, b))
     if any(c > MAX_WIDTH for c in acoord + bcoord):
         raise DomainError(f"coordinate above the cap MAX_WIDTH = {MAX_WIDTH}")
-    gts = Counter(int(c) for c in acoord)
-    lts = Counter(int(c) for c in bcoord)
+    gts, lts = Counter(acoord), Counter(bcoord)
     symbols = []
-    for p in range(1, int(max(acoord + bcoord, default=0)) + 1):
+    for p in range(1, max(acoord + bcoord, default=0) + 1):
         pair = (gts[p], lts[p])
         if pair not in _SYMBOL:
             raise DomainError(f"not dominant: {pair[0]} epsilon and {pair[1]} delta "
@@ -116,10 +134,10 @@ def weight_to_diagram(w: DominantWeight) -> WeightDiagram:
         t = 2 if zero_core == GT else 0
         if zero_core == LT and w.m > 0:
             raise DomainError("not dominant: '<' at the zero position needs m = 0")
-        plus = bool(w.a) and w.a[-1] > 0
+        plus = bool(a) and a[-1] > 0
     else:
         t = 1
-        plus = Q(1, 2) in w.a
+        plus = 1 in a
         if zero_core == GT and not plus:
             raise DomainError("not dominant: an unpaired zero '>' needs an "
                               "epsilon coefficient +1/2")
@@ -192,6 +210,8 @@ def _number(kind, token: str):
     m = _NUMBER_RE.fullmatch(token)
     if m and len(m[1]) > len(m[2] or "") + len(str(MAX_WIDTH)):
         raise DomainError(f"weight number above the cap MAX_WIDTH = {MAX_WIDTH}")
+    if kind is Q:
+        _check_exponent(token)
     try:
         return kind(token)
     except (ValueError, ZeroDivisionError):

@@ -492,6 +492,21 @@ def pari(d: WeightDiagram) -> int:
     return -1 if total % 2 else 1
 
 
+def check_purity(dec: Decomposition, lam: WeightDiagram) -> bool:
+    """No component occurs with its parity shift, and each is graded as the
+    source twisted by the shift: ``pari`` of ``howl`` of each diagram."""
+    base = pari(howl(lam))
+    for nu, (d0, d1) in dec.components.items():
+        if d0 and d1:
+            return False
+        p = pari(howl(nu))
+        if d0 and p != base:
+            return False
+        if d1 and p != -base:
+            return False
+    return True
+
+
 def ds_osp(lam: WeightDiagram) -> Decomposition:
     """One reduction step for modules of the full orthosymplectic group."""
     plain = ds1(lam)

@@ -431,6 +431,9 @@ def test_long_numbers_in_a_weight_are_read_but_flags_keep_the_limit(run):
     ["stabilize", ">" * 6666 + "x" * 3333, "--t", "1"],
     ["enumerate", "--t", "1", "-k", "1", "--width", "10003"],
     ["enumerate", "--t", "0", "-k", "10001", "--width", "10001"],
+    # an exponent is refused before Fraction expands it into a power of ten
+    ["parse", "D 1 0 / 1e100000000 / -"],
+    ["parse", "D 1 0 / 1e-100000000 / -"],
 ])
 def test_input_above_the_cap_exits_1(run, argv):
     code, out, err = run(*argv)

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import reference
 from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality, build,
@@ -318,6 +318,39 @@ class TestPurity:
         # a parity-shifted component graded like the source
         shifted_like_source = Decomposition(1, {lam: GradedMult(0, 1)})
         assert not check_purity(shifted_like_source, lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=diagrams(), rng=st.randoms(use_true_random=False))
+    def test_matches_the_definition(self, lam, rng):
+        # keep, flip or mix the grading of each component of every rank,
+        # now and then with an invalid diagram among them
+        invalid = WeightDiagram(1, 1, None, "ox", None)  # an unsigned bare stack
+        for r in range(atypicality(lam) + 1):
+            comps = {nu: rng.choice([g, GradedMult(g.d1, g.d0), GradedMult(g.d0 + 1, g.d1 + 1)])
+                     for nu, g in dsr(lam, r).components.items()}
+            if rng.random() < 0.2:
+                comps[invalid] = GradedMult(rng.randint(0, 1), rng.randint(0, 1))
+            dec = Decomposition(lam.t, comps)
+            assert _purity(check_purity, dec, lam) == _purity(reference.check_purity, dec, lam), \
+                (fmt(lam), r)
+
+    def test_an_invalid_diagram_raises_as_the_definition(self):
+        lam, invalid = P("ox", 1), WeightDiagram(1, 1, None, "ox", None)
+        for dec, source in ((Decomposition(1, {invalid: GradedMult(1, 0)}), lam),
+                            (Decomposition(1, {P("o", 1): GradedMult(0, 2)}), invalid)):
+            with pytest.raises(DomainError) as got:
+                check_purity(dec, source)
+            with pytest.raises(DomainError) as want:
+                reference.check_purity(dec, source)
+            assert str(got.value) == str(want.value) and "invalid diagram" in str(got.value)
+
+
+def _purity(check, dec, lam):
+    """``check(dec, lam)``, or the message of the DomainError it raises."""
+    try:
+        return check(dec, lam)
+    except DomainError as e:
+        return str(e)
 
 
 class TestSymmetries:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from ospds import oracle
 from ospds.diagram import (EMPTY, DomainError, ParseError, atypicality, core_of,
                            enumerate_corefree, fmt, parse, sigma, validate)
 from ospds.ds import ZERO, GradedMult, ds1, dsr
@@ -183,43 +184,66 @@ def _parses(text, t):
     return True
 
 
+def _blocks(small_cores, width):
+    """The core-free pool below ``width`` with k <= 4 and its lifts into the
+    small cores, by (type, core, atypicality)."""
+    blocks = {}
+    for t in (0, 1, 2):
+        for k in range(5):
+            for h in enumerate_corefree(t, k, width):
+                for g in [None] + small_cores[t]:
+                    try:
+                        lifts = [h] if g is None else unhowl(g, h)
+                    except UnhowlError:
+                        continue
+                    for lam in lifts:
+                        blocks.setdefault((t, core_of(lam), k), []).append(lam)
+    return blocks
+
+
+def _pairs(blocks, rng):
+    """Each source against each ``ds1`` component and a sampled target one
+    cross below in its block; once per block also a target one cross below
+    over another core (a source of this block when that core has none), and
+    the source itself, one cross too many."""
+    by_type = {}
+    for t, core, k in blocks:
+        by_type.setdefault(t, []).append(core)
+    for (t, core, k), lams in blocks.items():
+        below = blocks.get((t, core, k - 1), [])
+        for n, lam in enumerate(lams if k else []):
+            targets = [*ds1(lam).components, *rng.sample(below, min(1, len(below)))]
+            if n == 0:
+                other = rng.choice(by_type[t])
+                targets += [rng.choice(blocks.get((t, other, k - 1), lams)), lam]
+            for nu in targets:
+                yield lam, nu
+
+
+def test_untraced_calls_do_no_trace_work(small_cores, monkeypatch):
+    def written(*args):
+        raise AssertionError("an untraced call wrote a trace step")
+
+    monkeypatch.setattr(oracle, "_show", written)
+    stops = set()
+    for lam, nu in _pairs(_blocks(small_cores, 7), random.Random(7)):
+        want = []
+        assert oracle_mult1(lam, nu) == reference.oracle_mult1(lam, nu, want), (fmt(lam), fmt(nu))
+        stops.add(want[-1].rule)
+    assert STOPS <= stops, STOPS - stops
+    with pytest.raises(AssertionError, match="wrote a trace step"):
+        oracle_mult1(lam, nu, [])
+
+
 class TestAgainstTheReference:
     """The oracle on fields against the oracle on diagrams it replaced."""
 
     @pytest.fixture(scope="class")
     def corpus(self, small_cores):
-        """The width-9, k <= 4 core-free pool and its lifts into the small
-        cores, by (type, core, atypicality)."""
-        blocks = {}
-        for t in (0, 1, 2):
-            for k in range(5):
-                for h in enumerate_corefree(t, k, 9):
-                    for g in [None] + small_cores[t]:
-                        try:
-                            lifts = [h] if g is None else unhowl(g, h)
-                        except UnhowlError:
-                            continue
-                        for lam in lifts:
-                            blocks.setdefault((t, core_of(lam), k), []).append(lam)
-        return blocks
+        return _blocks(small_cores, 9)
 
     def test_pool_and_lifts(self, corpus):
-        rng, stops = random.Random(16), set()
-        by_type = {}
-        for t, core, k in corpus:
-            by_type.setdefault(t, []).append(core)
-        for (t, core, k), lams in corpus.items():
-            below = corpus.get((t, core, k - 1), [])
-            for n, lam in enumerate(lams if k else []):
-                targets = [*ds1(lam).components, *rng.sample(below, min(1, len(below)))]
-                if n == 0:
-                    # once per block: a target one cross below over another
-                    # core (a source of this block when that core has none),
-                    # and the source itself, one cross too many
-                    other = rng.choice(by_type[t])
-                    targets += [rng.choice(corpus.get((t, other, k - 1), lams)), lam]
-                for nu in targets:
-                    stops.add(_same_as_the_reference(lam, nu))
+        stops = {_same_as_the_reference(lam, nu) for lam, nu in _pairs(corpus, random.Random(16))}
         assert STOPS <= stops, STOPS - stops
 
     @settings(max_examples=200, deadline=None)

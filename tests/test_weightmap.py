@@ -122,6 +122,17 @@ class TestParseWeight:
         with pytest.raises(DomainError):
             parse_weight("E 1 1 / 1 / 1")
 
+    @pytest.mark.parametrize("text", ["1e3", "2.5E-1", ".5e+00001", "3.e0000000000002",
+                                      "1e99999", "-7e-5"])
+    def test_exponent_literals_of_up_to_five_digits_read_as_fraction(self, text):
+        w = parse_weight(f"D 1 0 / {text} / -")
+        assert w.a == (Q(text),) and type(w.a[0]) is Q
+
+    def test_fields_stay_fractions(self):
+        q = Q(5, 2)
+        w = DominantWeight("B", 1, 0, [q], [])
+        assert w.a[0] is q and weight_to_diagram(w) == weight_to_diagram(B(1, 0, ["5/2"], []))
+
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: DominantWeight("B", 1, 1, (), ()), "lengths m and n", id="lengths"),
@@ -151,6 +162,10 @@ class TestParseWeight:
                  "must be a rational number, got nan", id="NaN"),
     pytest.param(lambda: DominantWeight("D", 1, 0, 5, []),
                  "weight coordinates must be a list, got 5", id="coefficients 5"),
+    pytest.param(lambda: DominantWeight("D", 1, 0, ["1e100000000"], []),
+                 "exponent longer than the cap MAX_WIDTH = 10000", id="exponent 1e100000000"),
+    pytest.param(lambda: parse_weight("D 1 0 / 1e-0_123_456 / -"),
+                 "exponent longer than the cap MAX_WIDTH = 10000", id="exponent 1e-0_123_456"),
     pytest.param(lambda: D(1, 0, [1], [])._replace(m=1.0),
                  "m and n must be ints, got 1.0 and 0", id="_replace m=1.0"),
 ])
