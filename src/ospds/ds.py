@@ -23,11 +23,11 @@ forests, where s(a) is the size of a's subtree in F; in the whole forest
 s(a) = (reach - support + 1) / 2, because an arc's span holds nothing but
 crosses and the ends of arcs inside it.
 
-Rank 1 reads the table straight off the roots of the sweep, one component
-per root named by its support: (1|0) when e = 0, as at the zero stack, else
-``_ROOT_MULT[t != 0][e & 1]``.  Rank 2 and up read the filters off the
-sweep's rows, which carry each arc's support, ends and count of arcs wholly
-left of it, erase each filter in one list copy of lam's tail, and
+:func:`_components` streams the components as unsigned rows (zero stack,
+erased tail, multiplicity), and :func:`_dsr` alone signs them.  Rank 1 reads
+one row off each root of the sweep, named by its support: (1|0) when e = 0,
+as at the zero stack, else ``_ROOT_MULT[t != 0][e & 1]``.  Rank 2 and up
+erase each filter of :func:`_filters` in one list copy of lam's tail, and
 :func:`_weight` gives W:
 
 * t = 1, 2: a step counts 2, or 1 when ``e`` is 0: when the arc is tight,
@@ -115,11 +115,21 @@ def dsr(lam: WeightDiagram, r: int) -> Decomposition:
 
 def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
     """:func:`dsr` of a diagram known to be valid."""
+    t, _, core, _, sign = lam
     if r == 0:
-        return Decomposition(lam.t, {lam: ONE})
-    out = Decomposition(lam.t)
+        return Decomposition(t, {lam: ONE})
+    both = (sign,) if t == 1 else ("+", "-")
+    # different components erase different crosses: none repeats
+    return Decomposition(t, {WeightDiagram._trusted(t, s, core, erased, sg): mult
+                             for s, erased, mult in _components(lam, r)
+                             for sg in (both if _needs_sign(t, s, core, erased) else (None,))})
+
+
+def _components(lam: WeightDiagram, r: int):
+    """Each component of the rank-``r`` reduction of the valid ``lam``,
+    r >= 1, as an unsigned row (zero stack, erased tail, GradedMult)."""
     if r > atypicality(lam):
-        return out
+        return
     h = _howl(lam)
     t, stack, core, tail, _ = lam
     # at[p]: the index in lam's tail of compacted position p, p - 1 if core-free
@@ -129,21 +139,15 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
         at = [] if t != 2 and core is not None else [None]
         for m in _FREE_RUNS.finditer(tail):
             at += range(*m.span())
-    components = out.components
-    both = (lam.sign,) if t == 1 else ("+", "-")
     if r == 1:
         # each root is a component: erase its one cross, read the table
         mults = _ROOT_MULT[t != 0]
         for p, e in _sweep(h).items():
             if p or not stack:
-                q, s = at[p], stack
-                erased = tail[:q] + EMPTY + tail[q + 1:]
-            else:
-                erased, s = tail, stack - 1
-            mult = mults[e & 1] if e else ONE
-            for sign in both if _needs_sign(t, s, core, erased) else (None,):
-                components[WeightDiagram._trusted(t, s, core, erased, sign)] = mult
-        return out
+                yield stack, tail[:at[p]] + EMPTY + tail[at[p] + 1:], mults[e & 1] if e else ONE
+            else:  # the top zero cross, with e = 0
+                yield stack - 1, tail, ONE
+        return
     t2 = t == 2
     for members in _filters(h, r):
         w = _weight(h, members)
@@ -154,12 +158,7 @@ def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
                 odd ^= (p - t2) & 1
             else:
                 s -= 1
-        erased = "".join(erased)
-        mult = GradedMult(0, w) if odd else GradedMult(w, 0)
-        # different filters erase different crosses: no component repeats
-        for sign in both if _needs_sign(t, s, core, erased) else (None,):
-            components[WeightDiagram._trusted(t, s, core, erased, sign)] = mult
-    return out
+        yield s, "".join(erased), GradedMult(0, w) if odd else GradedMult(w, 0)
 
 
 def _filters(h: WeightDiagram, r: int):
@@ -263,10 +262,10 @@ def ds_osp(lam: WeightDiagram) -> Decomposition:
     members.  For the odd series the labels carry an extra +/- tag that both
     sides must share, and the multiplicities are those of :func:`ds1`.
     """
-    plain = ds1(lam)
-    if lam.t == 1:
-        return plain
+    if check_valid(lam).t == 1:
+        return _dsr(lam, 1)
+    t, _, core, _, sign = lam
     # one unsigned key per component: its two signings share a multiplicity
-    factor = 2 if lam.sign else 1
-    return Decomposition(lam.t, {nu.with_sign(None): GradedMult(factor * d0, factor * d1)
-                                 for nu, (d0, d1) in plain.components.items()})
+    return Decomposition(t, {WeightDiagram._trusted(t, s, core, erased, None):
+                             mult + mult if sign else mult
+                             for s, erased, mult in _components(lam, 1)})

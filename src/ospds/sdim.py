@@ -1,11 +1,12 @@
 """Superdimensions from the rank-k reduction and the Weyl dimension formula.
 
-The reduction preserves superdimension, and reducing by the full
-atypicality k strips all crosses.  When n = k the residue is a plain
-orthogonal Lie algebra so_(2(m-k)+t): every component is ``lam`` with its
-crosses erased, so one Weyl product over the ``>`` coordinates of ``lam``
-gives the ordinary dimension of each.  When n > k the residue keeps odd
-directions and every component is typical there, so the answer is 0.
+The reduction preserves superdimension, and reducing by the full atypicality k
+strips all crosses.  When n = k the residue is a plain orthogonal Lie algebra
+so_(2(m-k)+t): every component is ``lam`` with its crosses erased, so one Weyl
+product over the ``>`` coordinates of ``lam`` gives the ordinary dimension of
+each.  When n > k the residue keeps odd directions; while m > k or t = 2 every
+component is typical there, so the answer is 0.  At k = m < n that 0 is a known
+defect: ``ospds sdim "<" --t 1 --m 0 --n 1`` prints 0 for a module of sdim 1.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from ospds.diagram import (CROSS, GT, LT, DomainError, ParseError,
+from ospds.diagram import (CROSS, GT, LT, MAX_WIDTH, DomainError, ParseError,
                            WeightDiagram, atypicality, build,
                            core_of, enumerate_corefree, fmt,
                            is_stable, pari, parse, sigma, tail_length,
@@ -343,6 +343,11 @@ def test_parse_format_round_trip_random(data, ):
 def test_public_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_enumerate_accepts_width_one_past_the_cap():
+    # positions run below the width, so the refusal starts at MAX_WIDTH + 2
+    assert enumerate_corefree(1, 0, MAX_WIDTH + 1) == [WeightDiagram(1)]
 
 
 def test_tuple_and_list_tails_are_joined():

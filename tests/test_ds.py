@@ -294,10 +294,19 @@ def _built_as_public(lam, built):
         for nu in dsr(lam, r).components:
             assert validate(nu) == [], (fmt(lam), r, fmt(nu))
         assert built or r == 0
-        for d in built:
-            public = WeightDiagram(d.t, d.zero_crosses, d.zero_core,
-                                   d.tail_symbols, d.sign)
-            assert d == public and hash(d) == hash(public), (fmt(lam), r, d)
+        _each_as_public(built, lam, r)
+    # ds_osp builds each component once, and at most the compaction besides
+    built.clear()
+    components = ds_osp(lam).components
+    assert len(built) <= len(components) + 1, (fmt(lam), len(built), len(components))
+    _each_as_public(built, lam, "osp")
+
+
+def _each_as_public(built, lam, rank):
+    for d in built:
+        public = WeightDiagram(d.t, d.zero_crosses, d.zero_core,
+                               d.tail_symbols, d.sign)
+        assert d == public and hash(d) == hash(public), (fmt(lam), rank, d)
 
 
 class TestPurity:

@@ -35,7 +35,7 @@ class TestWeylDim:
         assert weyl_dim_so(7, [1, 1, 0]) == 21
 
     def test_rejects_non_dominant(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="non-increasing"):
             weyl_dim_so(5, [0, 1])
         with pytest.raises(DomainError):
             weyl_dim_so(4, [1])
