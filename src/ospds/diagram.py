@@ -137,9 +137,7 @@ class WeightDiagram(namedtuple("WeightDiagram",
         """The symbol at positive position ``p`` (EMPTY beyond the support)."""
         if p < 1:
             raise DomainError("sym() addresses positive positions only")
-        if p <= len(self.tail_symbols):
-            return self.tail_symbols[p - 1]
-        return EMPTY
+        return self.tail_symbols[p - 1:p] or EMPTY
 
     def count(self, symbol: str) -> int:
         _, stack, core, tail, _ = self
@@ -342,9 +340,7 @@ def atypicality(d: WeightDiagram) -> int:
 
 def tail_length(d: WeightDiagram) -> int:
     """Size of the zero stack, with a ``+`` sign discounting one for t=1."""
-    if d.t == 1 and d.sign == "+":
-        return d.zero_crosses - 1
-    return d.zero_crosses
+    return d.zero_crosses - 1 if d.t == 1 and d.sign == "+" else d.zero_crosses
 
 
 def is_stable(d: WeightDiagram) -> bool:

@@ -54,7 +54,7 @@ from operator import itemgetter
 from .arcs import _sweep
 from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign, _parity,
                       atypicality, check_valid, fmt)
-from .howl import _compact, _howl
+from .howl import _checked, _compact, _howl, _source
 
 
 class GradedMult(namedtuple("GradedMult", "d0 d1")):
@@ -110,7 +110,7 @@ def dsr(lam: WeightDiagram, r: int) -> Decomposition:
         raise DomainError(f"rank must be an int, got {r!r}")
     if r < 0:
         raise DomainError("rank must be non-negative")
-    return _dsr(check_valid(lam), r)
+    return _dsr(_checked(lam), r)
 
 
 def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
@@ -241,10 +241,10 @@ def _after_stack(chain: list[int], r: int) -> tuple[int, int]:
 
 
 def check_purity(dec: Decomposition, lam: WeightDiagram) -> bool:
-    """No component may occur together with its parity shift, and the grading
-    of each component must be the source grading twisted by the shift: the
-    grading of a diagram is ``pari`` of its compaction."""
-    base = _parity(lam.t, _compact(check_valid(lam))[1])
+    """No component may occur together with its parity shift, and each grading,
+    ``pari`` of the compaction, must be the source's twisted by the shift; the
+    source's is read off the compacted tail that ``howl._source`` records."""
+    base = _parity(lam.t, _source(lam)[4][1])
     for nu, (d0, d1) in dec.components.items():
         if d0 and d1:
             return False

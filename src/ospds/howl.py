@@ -20,12 +20,19 @@ collapses.  An unsigned diagram whose lift the one sign rule,
 once, unchecked and with its final sign, and the public ``unhowl`` checks
 the lifts.  The reduction lifts nothing: it finds the arcs in the compacted
 diagram and erases their crosses in the block's own diagram.
+
+``_source`` records the last source that the oracle or ``check_purity`` read
+and the fields read off it, in one slot keyed on identity, written after
+``check_valid`` passes and for a ``WeightDiagram`` only (immutable; the slot's
+reference keeps its id from reuse), and replaced whole, so threads share it.
 """
 
 from __future__ import annotations
 
 from .diagram import (CROSS, EMPTY, GT, LT, DomainError, WeightDiagram,
                       _fold, _needs_sign, _unfold, check_valid, fmt, validate)
+
+_last = (object(), None)  # (the recorded source, its fields)
 
 
 class UnhowlError(DomainError):
@@ -56,6 +63,25 @@ def _compact(d: WeightDiagram) -> tuple[int, str, str | None]:
         stack, tail, sign = _fold(stack, tail)
     tail = tail.rstrip(EMPTY)
     return stack, tail, sign if stack or tail else None
+
+
+def _source(lam: WeightDiagram) -> tuple:
+    """(t, zero core, atypicality, crossless tail, ``_compact``) of ``lam``, checked on a miss."""
+    global _last
+    last = _last
+    if last[0] is lam:
+        return last[1]
+    t, stack, core, tail, _ = check_valid(lam)
+    fields = (t, core, stack + tail.count(CROSS), tail.replace(CROSS, EMPTY).rstrip(EMPTY),
+              _compact(lam))
+    if type(lam) is WeightDiagram:
+        _last = lam, fields
+    return fields
+
+
+def _checked(lam: WeightDiagram) -> WeightDiagram:
+    """``check_valid(lam)``, skipped for the recorded source."""
+    return lam if _last[0] is lam else check_valid(lam)
 
 
 def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:

@@ -15,8 +15,9 @@ for both of its signings at once, so its base value doubles.  A problem that
 merely passes through type 2 on its way from the even series keeps
 single-diagram semantics throughout.
 
-Only the two inputs are diagrams, and only they are checked.  The recursion
-runs on plain fields: the compacted zero stack, tail and sign that
+Only the two inputs are diagrams: the target is checked on every call, and
+the source is checked on its first call and kept (``howl._source``).  The
+recursion runs on plain fields: the compacted zero stack, tail and sign that
 :func:`ospds.howl._compact` returns, with the block type and the zero ``>``
 of type 2 implied; ``p`` is the source's stack and ``i`` the target's.
 Trace targets are fields or diagrams, never text; fields become a diagram,
@@ -33,7 +34,7 @@ from collections import namedtuple
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _fold,
                       check_valid, fmt)
 from .ds import GradedMult, ZERO
-from .howl import _compact
+from .howl import _compact, _source
 
 _EMPTY_TARGET = (0, "", None)  # ``o``, or the bare zero ``>`` of type 2
 
@@ -76,21 +77,20 @@ def _base(trace: list[Step] | None, rule: str, t: int, stack: int, tail: str,
 def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
                  trace: list[Step] | None = None) -> GradedMult:
     """Graded multiplicity of ``nu`` in the rank-1 reduction of ``lam``."""
-    t, stack, core, tail, _ = check_valid(lam)
+    t, core, k, bare, (p, tail, sign) = _source(lam)
     nt, nstack, ncore, ntail, _ = check_valid(nu)
     if t != nt:
         raise DomainError("source and target must share the block type")
     # same t, zero core and crossless tail: same core (the t=0 sign follows)
-    if (core != ncore or tail.replace(CROSS, EMPTY).rstrip(EMPTY)
-            != ntail.replace(CROSS, EMPTY).rstrip(EMPTY)):
+    if core != ncore or bare != ntail.replace(CROSS, EMPTY).rstrip(EMPTY):
         if trace is not None:
             _note(trace, "cores differ", t, lam, nu)
         return ZERO
-    if stack + tail.count(CROSS) - nstack - ntail.count(CROSS) != 1:  # the atypicality gap
+    if k - nstack - ntail.count(CROSS) != 1:  # the atypicality gap
         if trace is not None:
             _note(trace, "wrong atyp gap", t, lam, nu)
         return ZERO
-    (p, tail, sign), (i, gtail, gsign) = _compact(lam), _compact(nu)
+    i, gtail, gsign = _compact(nu)
     if trace is not None:
         _note(trace, "compact", t, (p, tail, sign), (i, gtail, gsign))
 

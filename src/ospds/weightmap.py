@@ -164,8 +164,7 @@ def diagram_to_weight(d: WeightDiagram, m: int, n: int) -> DominantWeight:
         a.extend([Q(-1, 2)] * (d.zero_crosses - (plus if d.zero_core is None else 0)))
         b.extend([Q(1, 2)] * (d.zero_crosses + (1 if d.zero_core == LT else 0)))
     else:
-        zeros = d.zero_crosses + (1 if d.zero_core == GT else 0)
-        a.extend([Q(0)] * zeros)
+        a.extend([Q(0)] * (d.zero_crosses + (1 if d.zero_core == GT else 0)))
         b.extend([Q(0)] * (d.zero_crosses + (1 if d.zero_core == LT else 0)))
     a.sort(reverse=True)
     b.sort(reverse=True)

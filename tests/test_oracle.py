@@ -1,13 +1,16 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
 from ospds import oracle
-from ospds.diagram import (EMPTY, DomainError, ParseError, atypicality, core_of,
-                           enumerate_corefree, fmt, parse, sigma, validate)
-from ospds.ds import ZERO, GradedMult, ds1, dsr
+from ospds.diagram import (EMPTY, GT, LT, DomainError, ParseError, WeightDiagram,
+                           atypicality, check_valid, core_of, enumerate_corefree, fmt,
+                           parse, sigma, validate)
+from ospds.ds import ZERO, GradedMult, check_purity, ds1, dsr
 from ospds.howl import UnhowlError, howl, tau, unhowl
 from ospds.oracle import Step, oracle_mult1
 from conftest import P, diagrams
@@ -325,3 +328,148 @@ def _erased_lifts(lam):
 def test_types_must_agree(lam, nu):
     with pytest.raises(DomainError, match="share the block type"):
         oracle_mult1(lam, nu)
+
+
+# -- the record of the last source ---------------------------------------------
+
+# the modules themselves: the package's ``howl`` attribute is the function
+howl_module = sys.modules["ospds.howl"]
+diagram_module = sys.modules["ospds.diagram"]
+
+
+def _fresh(fn, *args):
+    """``fn(*args)`` with the source record emptied first, so that the call
+    checks and compacts its source itself."""
+    howl_module._last = (object(), None)
+    return fn(*args)
+
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 -- the error itself is compared
+        return type(e), str(e)
+
+
+class TestSourceRecord:
+    """``oracle_mult1``, ``dsr`` and ``check_purity`` share one record of the
+    last source: a run of calls on one source checks it once, and the record
+    never answers for another diagram."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, small_cores):
+        """(source, targets) over the width-8 pool and its lifts: every ``ds1``
+        component and up to 8 seeded targets one cross below in the block."""
+        blocks, rng, ops = _blocks(small_cores, 8), random.Random(32), []
+        for (t, core, k), lams in blocks.items():
+            below = blocks.get((t, core, k - 1), [])
+            for lam in lams:
+                ops.append((lam, (*ds1(lam).components,
+                                  *rng.sample(below, min(8, len(below))))))
+        return ops
+
+    def test_a_source_is_checked_once(self, sweep, monkeypatch):
+        validate = diagram_module.validate
+        seen = [None, 0]
+
+        def spy(d):
+            if d is seen[0]:
+                seen[1] += 1
+            return validate(d)
+
+        monkeypatch.setattr(diagram_module, "validate", spy)
+        most = 0
+        # a source of atypicality 0 has no component, so no oracle call
+        for lam, targets in sweep:
+            if not atypicality(lam):
+                continue
+            seen[:] = lam, 0
+            ds1(lam)
+            for nu in targets:
+                oracle_mult1(lam, nu)
+            # from rank 1: at rank 0 the one component is lam, checked as such
+            for r in range(1, atypicality(lam) + 1):
+                assert check_purity(dsr(lam, r), lam), (fmt(lam), r)
+            # one check in ds1, one in the oracle's first call
+            assert 1 <= seen[1] <= 2, (fmt(lam), seen[1])
+            most = max(most, seen[1])
+        assert most == 2
+
+    @pytest.mark.parametrize("text,t,fields", [
+        ("+oxox", 0, (0, 0, None, "oxox", None)),    # t=0 without its sign
+        ("-x^2ox", 1, (1, 2, None, "ox", None)),     # a bare t=1 stack without its sign
+        ("+x^2ox", 1, (1, 2, None, "ox", None)),
+        (">xoox", 2, (2, 0, None, "xoox", None)),    # t=2 without its zero '>'
+        ("x/>ox", 1, (1, 1, GT, "ox", "+")),         # a sign over a zero core
+        ("xox", 0, (0, 1, LT, "ox", None)),          # t=0 '<' under a stack
+    ])
+    def test_a_broken_diagram_after_a_valid_one_is_refused(self, text, t, fields):
+        lam = P(text, t)
+        bad = tuple.__new__(WeightDiagram, fields)
+        assert validate(bad)
+        nu = next(iter(ds1(lam).components))
+        want = str(_outcome(check_valid, bad)[1])
+        for fn, args in ((oracle_mult1, (bad, nu)), (dsr, (bad, 1)),
+                         (check_purity, (dsr(lam, 1), bad))):
+            oracle_mult1(lam, nu)
+            assert howl_module._last[0] is lam
+            with pytest.raises(DomainError) as e:
+                fn(*args)
+            assert str(e.value) == want
+            assert howl_module._last[0] is lam
+
+    def test_interleaved_sources_match_fresh_records(self, sweep):
+        rng = random.Random(8)
+        sources = [op for op in sweep if atypicality(op[0]) >= 2]
+        for _ in range(300):
+            (a, ta), (b, tb) = rng.sample(sources, 2)
+            calls = []
+            for lam, targets in ((a, ta), (b, tb), (a, ta)):
+                for nu in (*targets[:2], *tb[:1], *ta[:1]):
+                    calls.append((oracle_mult1, lam, nu))
+                r = rng.randint(1, atypicality(lam))
+                calls.append((dsr, lam, r))
+                calls.append((check_purity, _fresh(dsr, lam, r), lam))
+            # one call per function per source in turn, and each call again
+            rng.shuffle(calls)
+            for fn, *args in calls + calls:
+                assert _outcome(fn, *args) == _outcome(_fresh, fn, *args), \
+                    (fn.__name__, *map(fmt, args[:1]))
+
+    def test_a_trace_is_the_same_on_a_hit_and_a_miss(self, small_cores):
+        for lam, nu in _pairs(_blocks(small_cores, 7), random.Random(9)):
+            miss, hit = [], []
+            want = _fresh(oracle_mult1, lam, nu, miss)
+            assert howl_module._last[0] is lam
+            assert oracle_mult1(lam, nu, hit) == want
+            assert hit == miss, (fmt(lam), fmt(nu))
+
+    def test_only_a_weight_diagram_is_recorded(self):
+        lam, nu = P("+xoox", 1), P("+x", 1)
+
+        class Sub(WeightDiagram):
+            __slots__ = ()
+
+        for other in (tuple(lam), tuple.__new__(Sub, lam)):
+            assert _fresh(oracle_mult1, other, nu) == oracle_mult1(lam, nu)
+            howl_module._last = (object(), None)
+            assert oracle_mult1(other, nu) == GradedMult(0, 2)
+            assert howl_module._last[0] is not other
+
+    def test_two_threads_share_the_record(self, sweep):
+        def run(ops):
+            return [(tuple(oracle_mult1(lam, nu) for nu in targets),
+                     dsr(lam, max(atypicality(lam) - 1, 0)).components)
+                    for lam, targets in ops]
+
+        halves = sweep[::2], sweep[1::2]
+        want = [run(ops) for ops in halves]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter over often
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(run, halves, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
