@@ -27,8 +27,9 @@ crosses and the ends of arcs inside it.
 erased tail, multiplicity), and :func:`_dsr` alone signs them.  Rank 1 reads
 one row off each root of the sweep, named by its support: (1|0) when e = 0,
 as at the zero stack, else ``_ROOT_MULT[t != 0][e & 1]``.  Rank 2 and up
-erase each filter of :func:`_filters` in one list copy of lam's tail, and
-:func:`_weight` gives W:
+erase each filter of :func:`_filters` in one list copy of lam's tail and
+grade it with :func:`_graded`; ``sdim.superdimension`` grades the whole
+forest, rank k's one filter, and erases nothing.  :func:`_weight` gives W:
 
 * t = 1, 2: a step counts 2, or 1 when ``e`` is 0: when the arc is tight,
   the N arcs wholly to its left in the forest filling every position before
@@ -148,17 +149,14 @@ def _components(lam: WeightDiagram, r: int):
             else:  # the top zero cross, with e = 0
                 yield stack - 1, tail, ONE
         return
-    t2 = t == 2
     for members in _filters(h, r):
-        w = _weight(h, members)
-        erased, s, odd = list(tail), stack, 0
+        erased, s = list(tail), stack
         for p, _, _, _ in members:
             if p or not s:
                 erased[at[p]] = EMPTY
-                odd ^= (p - t2) & 1
             else:
                 s -= 1
-        yield s, "".join(erased), GradedMult(0, w) if odd else GradedMult(w, 0)
+        yield s, "".join(erased), _graded(h, members)
 
 
 def _filters(h: WeightDiagram, r: int):
@@ -194,6 +192,12 @@ def _filters(h: WeightDiagram, r: int):
             todo.append((j + forest[j][1], c))  # leave out arc j's subtree
             todo.append((j + 1, c + 1))
             members.append(j)
+
+
+def _graded(h: WeightDiagram, members: list[tuple[int, int, int, bool]]) -> GradedMult:
+    """W of :func:`_weight`, graded (0|W) or (W|0) by the module docstring's parity rule."""
+    w, t2 = _weight(h, members), h.t == 2
+    return GradedMult(0, w) if sum(p - t2 for p, _, _, _ in members if p) & 1 else GradedMult(w, 0)
 
 
 def _weight(h: WeightDiagram, members: list[tuple[int, int, int, bool]]) -> int:

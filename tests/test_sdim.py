@@ -1,12 +1,15 @@
+import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ospds.diagram import GT, LT, DomainError, atypicality, enumerate_corefree
+from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality,
+                           enumerate_corefree, validate)
 from ospds import ds, sdim
 from ospds.howl import UnhowlError, unhowl
 from ospds.sdim import (_core_dim, _dim_from_shifted, superdimension,
@@ -150,16 +153,8 @@ class TestSuperdimension:
     def test_conserved_through_one_step(self, corefree_pool, small_cores):
         # at every rank r from 0 to k, on the core-free pool (width 8, k <= 4)
         # and on lifts into the small cores
-        lifts = []
-        for t, cores in small_cores.items():
-            for g, k in itertools.product(cores, range(1, 4)):
-                for h in enumerate_corefree(t, k, 5):
-                    try:
-                        lifts += unhowl(g, h)
-                    except UnhowlError:
-                        pass
         checks = 0
-        for lam in corefree_pool + lifts:
+        for lam in corefree_pool + _lifts(small_cores):
             m, n = _mn(lam)
             whole = superdimension(lam, m, n)
             for r in range(atypicality(lam) + 1):
@@ -194,6 +189,57 @@ class TestSuperdimension:
                             lambda N, a: calls.append(N) or real(N, a))
         assert superdimension(P("+o>ox", 0), 2, 1) == 2
         assert calls == [2]
+
+    def test_reads_the_whole_forest_without_building_components(self, corefree_pool,
+                                                                small_cores):
+        # rank k has one order filter, the whole forest: no component stream,
+        # no Decomposition and no component diagram, only a cored lam's
+        # compaction
+        watched = {ds._dsr.__code__: "_dsr", ds._components.__code__: "_components",
+                   WeightDiagram._trusted.__func__.__code__: "_trusted"}
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        read = 0
+        for lam in corefree_pool + _lifts(small_cores):
+            k = atypicality(lam)
+            if not k:
+                continue
+            m, n = _mn(lam)
+            calls.clear()
+            before = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                superdimension(lam, m, n)
+            finally:
+                sys.setprofile(before)
+            assert not calls["_dsr"] and not calls["_components"], (str(lam), calls)
+            assert calls["_trusted"] <= (not lam.is_core_free()), (str(lam), calls)
+            read += n == k
+        assert read > 1000
+
+
+def _lifts(small_cores):
+    """The lifts of the core-free diagrams of width 5 and k = 1..3 into the
+    small cores."""
+    lifts = []
+    for t, cores in small_cores.items():
+        for g, k in itertools.product(cores, range(1, 4)):
+            for h in enumerate_corefree(t, k, 5):
+                try:
+                    lifts += unhowl(g, h)
+                except UnhowlError:
+                    pass
+    return lifts
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: at k = m < n superdimension "
+                   "returns 0, but the residue is an sp or osp(1|2) module")
+def test_the_trivial_osp_1_2_module_has_superdimension_one():
+    assert superdimension(P("<", 1), 0, 1) == 1
 
 
 # -- the arc-forest route against the full reduction -------------------------------
@@ -237,3 +283,47 @@ def test_matches_full_reduction_on_cored_lifts(t):
 @given(lam=diagrams())
 def test_matches_full_reduction_on_random_diagrams(lam):
     assert _agrees(lam)
+
+
+def _seeded_forest(rng, t, k, stack):
+    """A core-free diagram of type ``t`` with ``k`` crosses, ``stack`` of them
+    at zero and the rest in runs of up to 8, each after a gap of up to 40 and
+    closed by up to as many empties, so that later runs may nest under it."""
+    tail, left = "", k - stack
+    while left:
+        s = rng.randint(1, min(left, 8))
+        gap = rng.choice([rng.randint(0, 3), rng.randint(10, 40)])
+        tail += "o" * gap + "x" * s + "o" * rng.randint(0, s)
+        left -= s
+    body = WeightDiagram(t, stack, GT if t == 2 else None, tail)
+    return rng.choice([d for d in map(body.with_sign, (None, "+", "-")) if not validate(d)])
+
+
+def _states(h, cap):
+    """The number of states of the full reduction of ``h`` at ranks 1..k,
+    counted up to ``cap + 1``: one per order filter."""
+    filters = itertools.chain.from_iterable(ds._filters(h, r)
+                                            for r in range(1, atypicality(h) + 1))
+    return sum(1 for _ in itertools.islice(filters, cap + 1))
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_matches_full_reduction_on_wide_high_rank_forests(t):
+    # k = 9..24 and widths up to 120, beyond the pools and the random
+    # diagrams: zero stacks of 1..k (the t=0 interleavings after the lowest
+    # zero cross, the t=2 double-ended arcs) and lifts into the '>' cores.
+    # The full reduction visits every order filter, so forests with more
+    # than 400 are skipped to keep it fast.
+    rng = random.Random(33 + t)
+    lams, stacks = [], set()
+    for k in range(9, 25):
+        for stack in (0, 0, rng.randint(1, k), rng.randint(1, k), k):
+            h = _seeded_forest(rng, t, k, stack)
+            if h.width > 120 or _states(h, 400) > 400:
+                continue
+            stacks.add(stack)
+            lams += [h] + unhowl(P(rng.choice(_GT_CORES[t]), t), h)
+    assert len(lams) > 60 and len(stacks) > 10
+    assert max(lam.width for lam in lams) > 90
+    bad = [str(lam) for lam in lams if not _agrees(lam)]
+    assert not bad, bad[:10]
