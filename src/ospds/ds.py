@@ -27,9 +27,12 @@ crosses and the ends of arcs inside it.
 erased tail, multiplicity), and :func:`_dsr` alone signs them.  Rank 1 reads
 one row off each root of the sweep, named by its support: (1|0) when e = 0,
 as at the zero stack, else ``_ROOT_MULT[t != 0][e & 1]``.  Rank 2 and up
-erase each filter of :func:`_filters` in one list copy of lam's tail and
-grade it with :func:`_graded`; ``sdim.superdimension`` grades the whole
-forest, rank k's one filter, and erases nothing.  :func:`_weight` gives W:
+erase each filter of the one search, :func:`_filters`, in one list copy of
+lam's tail; when the arcs left can only just fill F, the rest of the
+preorder joins it at once, so rank n's one filter is the whole forest.  The
+one grader, :func:`_graded`, counts each member's subtree and members wholly
+left in F in the loop that sums the parity and W; ``sdim.superdimension``
+grades the whole forest and erases nothing.  W is:
 
 * t = 1, 2: a step counts 2, or 1 when ``e`` is 0: when the arc is tight,
   the N arcs wholly to its left in the forest filling every position before
@@ -53,9 +56,9 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .arcs import _sweep
-from .diagram import (EMPTY, DomainError, WeightDiagram, _needs_sign, _parity,
-                      atypicality, check_valid, fmt)
-from .howl import _checked, _compact, _howl, _source
+from .diagram import (EMPTY, GT, DomainError, WeightDiagram, _needs_sign, _parity,
+                      check_valid, fmt)
+from .howl import _compact, _source
 
 
 class GradedMult(namedtuple("GradedMult", "d0 d1")):
@@ -101,7 +104,7 @@ class Decomposition(namedtuple("Decomposition", "t components")):
 
 def ds1(lam: WeightDiagram) -> Decomposition:
     """One reduction step applied to a simple module's diagram."""
-    return _dsr(check_valid(lam), 1)
+    return _dsr(lam, 1, _source(lam))
 
 
 def dsr(lam: WeightDiagram, r: int) -> Decomposition:
@@ -111,32 +114,33 @@ def dsr(lam: WeightDiagram, r: int) -> Decomposition:
         raise DomainError(f"rank must be an int, got {r!r}")
     if r < 0:
         raise DomainError("rank must be non-negative")
-    return _dsr(_checked(lam), r)
+    return _dsr(lam, r, _source(lam))
 
 
-def _dsr(lam: WeightDiagram, r: int) -> Decomposition:
-    """:func:`dsr` of a diagram known to be valid."""
+def _dsr(lam: WeightDiagram, r: int, source: tuple) -> Decomposition:
+    """:func:`dsr` of a valid diagram whose ``howl._source`` fields are ``source``."""
     t, _, core, _, sign = lam
     if r == 0:
         return Decomposition(t, {lam: ONE})
     both = (sign,) if t == 1 else ("+", "-")
     # different components erase different crosses: none repeats
     return Decomposition(t, {WeightDiagram._trusted(t, s, core, erased, sg): mult
-                             for s, erased, mult in _components(lam, r)
+                             for s, erased, mult in _components(lam, r, source)
                              for sg in (both if _needs_sign(t, s, core, erased) else (None,))})
 
 
-def _components(lam: WeightDiagram, r: int):
-    """Each component of the rank-``r`` reduction of the valid ``lam``,
-    r >= 1, as an unsigned row (zero stack, erased tail, GradedMult)."""
-    if r > atypicality(lam):
+def _components(lam: WeightDiagram, r: int, source: tuple):
+    """Each component of the rank-``r`` reduction of the valid ``lam``, r >= 1,
+    as an unsigned row (zero stack, erased tail, GradedMult)."""
+    t, core, k, _, (hstack, htail, hsign) = source
+    if r > k:
         return
-    h = _howl(lam)
-    t, stack, core, tail, _ = lam
+    _, stack, _, tail, _ = lam
     # at[p]: the index in lam's tail of compacted position p, p - 1 if core-free
-    if h is lam:
-        at = range(-1, len(tail))
+    if htail == tail and (t == 2 or core is None):  # core-free: lam is its compaction
+        h, at = lam, range(-1, len(tail))
     else:
+        h = WeightDiagram._trusted(t, hstack, GT if t == 2 else None, htail, hsign)
         at = [] if t != 2 and core is not None else [None]
         for m in _FREE_RUNS.finditer(tail):
             at += range(*m.span())
@@ -149,20 +153,21 @@ def _components(lam: WeightDiagram, r: int):
             else:  # the top zero cross, with e = 0
                 yield stack - 1, tail, ONE
         return
-    for members in _filters(h, r):
+    for forest, members in _filters(h, r):
         erased, s = list(tail), stack
-        for p, _, _, _ in members:
+        for i in members:
+            p = forest[i][0]
             if p or not s:
                 erased[at[p]] = EMPTY
             else:
                 s -= 1
-        yield s, "".join(erased), _graded(h, members)
+        yield s, "".join(erased), _graded(h, forest, members)
 
 
 def _filters(h: WeightDiagram, r: int):
-    """Each order filter of ``r`` arcs of ``h`` as integer rows in preorder:
-    (support, subtree size in the filter, members wholly left of it, tight),
-    the forest's read off the sweep's rows."""
+    """Each order filter of ``r`` arcs of ``h`` as (forest, members): the rows
+    (support, subtree size, arcs wholly left of it, tight) read off the sweep
+    once, and the indices of the members in one list that each filter reuses."""
     _sweep(h, arcs := [])
     n = len(arcs)
     # preorder: a subtree is a run, and an arc before ``a`` encloses ``a``
@@ -171,54 +176,52 @@ def _filters(h: WeightDiagram, r: int):
     if r < n:
         arcs.sort(key=itemgetter(0))
     t2 = h.t == 2
-    # (support, subtree size, arcs wholly left of it, tight)
     forest = [(p, (ends[-1] - p + 1) // 2, left, p in (0, 2 * left + t2))
               for p, _, ends, left in arcs]
-    if r == n:
-        yield forest
-        return
     # (next arc, members kept): an arc is reached only when its parent is a
-    # member, and a state is kept only when the arcs after it can fill F; the
-    # members left of an arc are those before it but its ancestors
-    members, todo = [], [(0, 0)]
+    # member, and a state is kept only when the arcs after it can fill F
+    members, todo = [], [(0, 0)] if r else []
     while todo:
         j, c = todo.pop()
         del members[c:]
-        if c == r:
-            yield [(p, bisect_left(members, i + size, m) - m, m - i + left, tight)
-                   for m, i in enumerate(members)
-                   for p, size, left, tight in (forest[i],)]
-        elif c + n - j >= r:
+        if c == r or c + n - j == r:  # F is full, or the arcs left just fill it
+            members += range(j, j + r - c)
+            yield forest, members
+        elif c + n - j > r:
             todo.append((j + forest[j][1], c))  # leave out arc j's subtree
             todo.append((j + 1, c + 1))
             members.append(j)
 
 
-def _graded(h: WeightDiagram, members: list[tuple[int, int, int, bool]]) -> GradedMult:
-    """W of :func:`_weight`, graded (0|W) or (W|0) by the module docstring's parity rule."""
-    w, t2 = _weight(h, members), h.t == 2
-    return GradedMult(0, w) if sum(p - t2 for p, _, _, _ in members if p) & 1 else GradedMult(w, 0)
-
-
-def _weight(h: WeightDiagram, members: list[tuple[int, int, int, bool]]) -> int:
-    """Total multiplicity of the component that removing the filter
-    ``members`` from ``h`` leaves (see the module docstring)."""
-    r = len(members)
-    num, den = math.factorial(r), math.prod(s for _, s, _, _ in members)
-    if h.t == 0:
-        chain = sorted(s for p, s, _, _ in members if p == 0)
-        if not h.zero_crosses:
-            return num * 2 ** (r - 1) // den
-        if len(chain) < h.zero_crosses:  # the lowest zero cross stays
-            return num // den
-        after, orders = _after_stack(chain, r)
-        return num * after // (den * orders)
-    num <<= r
-    for _, s, n, tight in members:
-        if tight:
-            num *= 2 * n + s
-            den *= 2 * (n + s)
-    return num // den
+def _graded(h: WeightDiagram, forest: list[tuple], members: list[int]) -> GradedMult:
+    """The graded multiplicity, by the module docstring's rules, of the
+    component that removing the filter ``members`` of ``forest`` leaves."""
+    t, r = h.t, len(members)
+    t2, whole = t == 2, r == len(forest)
+    num, den, odd, chain = math.factorial(r), 1, 0, []
+    for m, i in enumerate(members):
+        p, s, left, tight = forest[i]
+        if not whole:  # its subtree in F: the members in its run
+            s = bisect_left(members, i + s, m) - m
+        den *= s
+        if p:
+            odd += p - t2
+        elif not t:
+            chain.append(s)
+        if tight and t:
+            left += m - i  # the members wholly left: those before it but its ancestors
+            num *= 2 * left + s
+            den *= 2 * (left + s)
+    if t:
+        w = (num << r) // den
+    elif not h.zero_crosses:
+        w = (num << r >> 1) // den
+    elif len(chain) < h.zero_crosses:  # the lowest zero cross stays
+        w = num // den
+    else:
+        after, orders = _after_stack(sorted(chain), r)
+        w = num * after // (den * orders)
+    return GradedMult(0, w) if odd & 1 else GradedMult(w, 0)
 
 
 def _after_stack(chain: list[int], r: int) -> tuple[int, int]:
@@ -266,10 +269,10 @@ def ds_osp(lam: WeightDiagram) -> Decomposition:
     members.  For the odd series the labels carry an extra +/- tag that both
     sides must share, and the multiplicities are those of :func:`ds1`.
     """
-    if check_valid(lam).t == 1:
-        return _dsr(lam, 1)
+    if (source := _source(lam))[0] == 1:
+        return _dsr(lam, 1, source)
     t, _, core, _, sign = lam
     # one unsigned key per component: its two signings share a multiplicity
     return Decomposition(t, {WeightDiagram._trusted(t, s, core, erased, None):
                              mult + mult if sign else mult
-                             for s, erased, mult in _components(lam, 1)})
+                             for s, erased, mult in _components(lam, 1, source)})

@@ -21,10 +21,11 @@ once, unchecked and with its final sign, and the public ``unhowl`` checks
 the lifts.  The reduction lifts nothing: it finds the arcs in the compacted
 diagram and erases their crosses in the block's own diagram.
 
-``_source`` records the last source that the oracle or ``check_purity`` read
-and the fields read off it, in one slot keyed on identity, written after
-``check_valid`` passes and for a ``WeightDiagram`` only (immutable; the slot's
-reference keeps its id from reuse), and replaced whole, so threads share it.
+``_source`` records the last source that ``ds1``, ``dsr``, ``ds_osp``, the
+oracle or ``check_purity`` read and the fields read off it, in one slot keyed
+on identity, written by each of them after ``check_valid`` passes and for a
+``WeightDiagram`` only (immutable; the slot's reference keeps its id from
+reuse), and replaced whole, so threads share it.
 """
 
 from __future__ import annotations
@@ -66,22 +67,18 @@ def _compact(d: WeightDiagram) -> tuple[int, str, str | None]:
 
 
 def _source(lam: WeightDiagram) -> tuple:
-    """(t, zero core, atypicality, crossless tail, ``_compact``) of ``lam``, checked on a miss."""
+    """(t, zero core, atypicality, crossless tail, ``_compact``) of ``lam``;
+    on a miss ``lam`` is checked, and every reader writes the record."""
     global _last
     last = _last
     if last[0] is lam:
         return last[1]
     t, stack, core, tail, _ = check_valid(lam)
-    fields = (t, core, stack + tail.count(CROSS), tail.replace(CROSS, EMPTY).rstrip(EMPTY),
-              _compact(lam))
+    fields = (t, core, stack + tail.count(CROSS),  # the crossless tail ends at its last core symbol
+              tail[:max(tail.rfind(GT), tail.rfind(LT)) + 1].replace(CROSS, EMPTY), _compact(lam))
     if type(lam) is WeightDiagram:
         _last = lam, fields
     return fields
-
-
-def _checked(lam: WeightDiagram) -> WeightDiagram:
-    """``check_valid(lam)``, skipped for the recorded source."""
-    return lam if _last[0] is lam else check_valid(lam)
 
 
 def unhowl(g: WeightDiagram, h: WeightDiagram) -> list[WeightDiagram]:

@@ -16,10 +16,10 @@ merely passes through type 2 on its way from the even series keeps
 single-diagram semantics throughout.
 
 Only the two inputs are diagrams: the target is checked on every call, and
-the source is checked on its first call and kept (``howl._source``).  The
-recursion runs on plain fields: the compacted zero stack, tail and sign that
-:func:`ospds.howl._compact` returns, with the block type and the zero ``>``
-of type 2 implied; ``p`` is the source's stack and ``i`` the target's.
+the source once per run of calls, by its first reader (``howl._source``).
+The recursion runs on plain fields: the compacted zero stack, tail and sign
+that :func:`ospds.howl._compact` returns, with the block type and the zero
+``>`` of type 2 implied; ``p`` is the source's stack and ``i`` the target's.
 Trace targets are fields or diagrams, never text; fields become a diagram,
 written by ``fmt``, only when a trace is asked for.
 

@@ -92,5 +92,5 @@ def superdimension(lam: WeightDiagram, m: int, n: int) -> int:
     if not k:
         return _core_dim(lam)
     t, _, core, tail, _ = lam
-    d0, d1 = _graded(h := _howl(lam), next(_filters(h, k)))
+    d0, d1 = _graded(h := _howl(lam), *next(_filters(h, k)))
     return (d0 - d1) * (1 + _needs_sign(t, 0, core, tail.replace(CROSS, EMPTY))) * _core_dim(lam)

@@ -16,7 +16,7 @@ multiplicities in the parity-shift group ring.
 ``lifted_dsr`` is the order-filter reduction with each component built in
 three steps: its crosses erased in the compacted diagram, the result lifted
 back into the core by ``_unhowl`` and added up, where the library erases the
-crosses in the diagram itself.
+crosses in the diagram itself; both grade each filter with ``ds._graded``.
 
 ``stabilize`` is the move loop of :mod:`ospds.translate` that recomputes
 every position list and tests every core position against every cross on
@@ -54,8 +54,11 @@ times per level of b sibling arcs, so only the ratios of the two agree.
 ``build_arcs(h).arcs``, in preorder by (support, -reach), each arc's count
 of arcs wholly left of it read by bisecting the sorted reaches, where the
 library's sweep counts them as it goes; ``filter_rows`` lists, in the
-library's order, the rows of every order filter of ``r`` of those arcs,
-each count taken from its definition over all r-subsets.
+library's order, the members and rows of every order filter of ``r`` of
+those arcs, each count taken from its definition over all r-subsets.
+``weight`` and ``graded`` are the row-based W and parity rule of
+:mod:`ospds.ds` as they were before its one grader, ``_graded``, counted
+each member's subtree and members wholly left in the same loop.
 """
 
 import itertools
@@ -67,7 +70,8 @@ from ospds.arcs import DottedArcs, _sweep, build_arcs
 from ospds.diagram import (CORE_SYMBOLS, CROSS, EMPTY, GT, LT, DomainError,
                            WeightDiagram, _fold, atypicality, build, check_valid,
                            core_of, enumerate_corefree, fmt, sigma)
-from ospds.ds import ONE, ZERO, Decomposition, GradedMult, _filters, _weight, ds1
+from ospds.ds import (ONE, ZERO, Decomposition, GradedMult, _after_stack, _filters, _graded,
+                      ds1)
 from ospds.howl import UnhowlError, _howl, _unhowl, howl, unhowl
 from ospds.oracle import Step
 from ospds.translate import trans_swap
@@ -171,17 +175,14 @@ def lifted_dsr(lam: WeightDiagram, r: int) -> Decomposition:
         return out
     h = _howl(lam)
     if r == 1:
-        # the sweep's roots as one-member filters, named by support
-        filters = [[(p, 1, 0, e == 0)] for p, e in _sweep(h).items()]
+        # the sweep's roots as one-arc forests, named by support
+        filters = [([(p, 1, 0, e == 0)], [0]) for p, e in _sweep(h).items()]
     else:
         filters = _filters(h, r)
-    g, t2 = core_of(lam), h.t == 2
-    for members in filters:
-        w = _weight(h, members)
-        supports = [m[0] for m in members]
-        odd = sum(p - t2 for p in supports if p) % 2
-        mult = GradedMult(0, w) if odd else GradedMult(w, 0)
-        for nu in _unhowl(g, _erase(h, supports)):
+    g = core_of(lam)
+    for forest, members in filters:
+        mult = _graded(h, forest, members)
+        for nu in _unhowl(g, _erase(h, [forest[i][0] for i in members])):
             add(out, nu, mult)
     return out
 
@@ -561,11 +562,11 @@ def forest_rows(h: WeightDiagram) -> list[tuple[int, int, int, bool]]:
     return rows
 
 
-def filter_rows(h: WeightDiagram, r: int) -> list[list[tuple[int, int, int, bool]]]:
-    """The rows of each order filter of ``r`` arcs of ``h``, as ``_filters``
-    yields them: every r-subset of the preorder forest that holds the parent
-    of each member, in lexicographic order, each member's subtree and the
-    members wholly left of it counted in the subset."""
+def filter_rows(h: WeightDiagram, r: int) -> list[tuple[list[int], list[tuple]]]:
+    """Each order filter of ``r`` arcs of ``h`` as (members, rows): every
+    r-subset of the preorder forest that holds the parent of each member, in
+    lexicographic order, and its rows (support, subtree size in the subset,
+    members wholly left of it, tight), each count taken from its definition."""
     forest = forest_rows(h)
     end = [i + size for i, (_, size, _, _) in enumerate(forest)]  # past each subtree
     parent = [max((j for j in range(i) if end[j] > i), default=None)
@@ -574,7 +575,34 @@ def filter_rows(h: WeightDiagram, r: int) -> list[list[tuple[int, int, int, bool
     for members in itertools.combinations(range(len(forest)), r):
         if any(parent[i] is not None and parent[i] not in members for i in members):
             continue
-        out.append([(p, sum(i <= j < end[i] for j in members),
-                     sum(end[j] <= i for j in members), tight)
-                    for i in members for p, _, _, tight in (forest[i],)])
+        out.append((list(members), [(p, sum(i <= j < end[i] for j in members),
+                                     sum(end[j] <= i for j in members), tight)
+                                    for i in members for p, _, _, tight in (forest[i],)]))
     return out
+
+
+def weight(h: WeightDiagram, members: list[tuple[int, int, int, bool]]) -> int:
+    """Total multiplicity of the component that removing the filter
+    ``members`` from ``h`` leaves (see the :mod:`ospds.ds` docstring)."""
+    r = len(members)
+    num, den = math.factorial(r), math.prod(s for _, s, _, _ in members)
+    if h.t == 0:
+        chain = sorted(s for p, s, _, _ in members if p == 0)
+        if not h.zero_crosses:
+            return num * 2 ** (r - 1) // den
+        if len(chain) < h.zero_crosses:  # the lowest zero cross stays
+            return num // den
+        after, orders = _after_stack(chain, r)
+        return num * after // (den * orders)
+    num <<= r
+    for _, s, n, tight in members:
+        if tight:
+            num *= 2 * n + s
+            den *= 2 * (n + s)
+    return num // den
+
+
+def graded(h: WeightDiagram, members: list[tuple[int, int, int, bool]]) -> GradedMult:
+    """W of :func:`weight`, graded (0|W) or (W|0) by the :mod:`ospds.ds` parity rule."""
+    w, t2 = weight(h, members), h.t == 2
+    return GradedMult(0, w) if sum(p - t2 for p, _, _, _ in members if p) & 1 else GradedMult(w, 0)

@@ -10,8 +10,8 @@ import reference
 from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality, build,
                            core_of, enumerate_corefree, fmt, is_stable, pari,
                            sigma, validate)
-from ospds.ds import (Decomposition, GradedMult, _after_stack, _filters, check_purity, ds1,
-                      ds_osp, dsr)
+from ospds.ds import (Decomposition, GradedMult, _after_stack, _filters, _graded, check_purity,
+                      ds1, ds_osp, dsr)
 from ospds.howl import UnhowlError, _howl, howl, tau, unhowl
 from ospds.translate import stabilize
 from reference import gm_mul
@@ -477,32 +477,76 @@ class TestAgainstTheOldRules:
         _same_as_the_old_rules(lam)
 
 
-def _same_filters_as_the_bisected_reaches(h):
-    """Every order filter of ``h`` from the sweep's rows, against the rows
-    built from sorted reaches: the exact order below the whole forest, the
-    rows as a set at it."""
-    n = atypicality(h)
+def _same_filters_as_the_subsets(h):
+    """Every order filter of ``h`` against the r-subsets of the preorder
+    forest that hold each member's parent: the member lists in the same
+    order, the forest rows, and the grading against the row-based weight and
+    parity rule; at the whole forest, rank n's one filter, the rows as a set."""
+    n, rows = atypicality(h), reference.forest_rows(h)
+    assert list(_filters(h, 0)) == [], fmt(h)
     for r in range(1, n):
-        assert list(_filters(h, r)) == reference.filter_rows(h, r), (fmt(h), r)
+        _same_as_the_subsets(h, r, rows)
     if n:
-        assert [sorted(f) for f in _filters(h, n)] == [sorted(reference.forest_rows(h))], fmt(h)
+        (forest, members), = [(forest, list(members)) for forest, members in _filters(h, n)]
+        assert sorted(forest) == sorted(rows) and members == list(range(n)), fmt(h)
+        assert _graded(h, forest, members) == reference.graded(h, rows), fmt(h)
+
+
+def _same_as_the_subsets(h, r, rows):
+    """The filters of ``h`` at 1 <= r < n: the forest in preorder, each member
+    list in order, and each grading, against their definitions."""
+    got = []
+    for forest, members in _filters(h, r):
+        assert forest == rows, (fmt(h), r)
+        got.append((list(members), _graded(h, forest, members)))
+    want = [(members, reference.graded(h, filter_rows))
+            for members, filter_rows in reference.filter_rows(h, r)]
+    assert got == want, (fmt(h), r)
+
+
+def _seeded_corefree(rng, t, tail):
+    """``tail`` under a seeded zero stack of 0-2, in a signing that is valid."""
+    body = WeightDiagram(t, rng.randint(0, 2), GT if t == 2 else None, tail)
+    return rng.choice([d for d in map(body.with_sign, (None, "+", "-")) if not validate(d)])
 
 
 class TestFilterRows:
-    """The sweep counts the arcs wholly left of each arc as it goes, and lists
-    the zero-stack arcs outermost first for a sort on the support alone."""
+    """One search hands out the preorder forest rows and each filter's
+    member indices, and one grader counts each member's subtree and members
+    wholly left in the filter as it grades it."""
 
     def test_pool(self, corefree_pool):
         stacks = set()
         for h in corefree_pool:
-            _same_filters_as_the_bisected_reaches(h)
+            _same_filters_as_the_subsets(h)
             stacks.add((h.t, h.zero_crosses))
         assert {(t, 4) for t in (0, 1, 2)} <= stacks
 
     @settings(max_examples=300, deadline=None)
     @given(lam=diagrams())
     def test_random_diagrams(self, lam):
-        _same_filters_as_the_bisected_reaches(_howl(lam))
+        _same_filters_as_the_subsets(_howl(lam))
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_roots_and_nests_near_the_whole_forest(self, t):
+        # at r = k - 1 and k - 2 the search takes the rest of the preorder
+        # in one step once the arcs left can only just fill the filter
+        rng = random.Random(f"filters:{t}")
+        for _ in range(12):
+            roots = "".join("o" * rng.randint(0, 2) + "xo" for _ in range(rng.randint(3, 9)))
+            nests = "".join("o" * rng.randint(0, 2) + _tree(rng, rng.randint(1, 4))
+                            for _ in range(rng.randint(2, 4)))
+            for h in (_seeded_corefree(rng, t, roots), _seeded_corefree(rng, t, nests)):
+                k = atypicality(h)
+                for r in range(max(k - 2, 1), k):
+                    _same_as_the_subsets(h, r, reference.forest_rows(h))
+
+    def test_the_empty_filter_grades_in_integers(self):
+        # rank 0 has no filter; the grader's empty product is still an int
+        for text, t in (("o", 0), ("+x", 0), ("o", 1), (">", 2)):
+            h = P(text, t)
+            assert list(_filters(h, 0)) == []
+            assert all(type(w) is int for w in _graded(h, [], [])), text
 
 
 # (chain, r) pairs that the benchmark's pool_sweep workload sends at seed 1

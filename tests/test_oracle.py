@@ -10,7 +10,7 @@ from ospds import oracle
 from ospds.diagram import (EMPTY, GT, LT, DomainError, ParseError, WeightDiagram,
                            atypicality, check_valid, core_of, enumerate_corefree, fmt,
                            parse, sigma, validate)
-from ospds.ds import ZERO, GradedMult, check_purity, ds1, dsr
+from ospds.ds import ZERO, GradedMult, check_purity, ds1, ds_osp, dsr
 from ospds.howl import UnhowlError, howl, tau, unhowl
 from ospds.oracle import Step, oracle_mult1
 from conftest import P, diagrams
@@ -353,9 +353,9 @@ def _outcome(fn, *args):
 
 
 class TestSourceRecord:
-    """``oracle_mult1``, ``dsr`` and ``check_purity`` share one record of the
-    last source: a run of calls on one source checks it once, and the record
-    never answers for another diagram."""
+    """``ds1``, ``dsr``, ``ds_osp``, ``oracle_mult1`` and ``check_purity``
+    share one record of the last source: a run of calls on one source checks
+    it once, and the record never answers for another diagram."""
 
     @pytest.fixture(scope="class")
     def sweep(self, small_cores):
@@ -379,22 +379,19 @@ class TestSourceRecord:
             return validate(d)
 
         monkeypatch.setattr(diagram_module, "validate", spy)
-        most = 0
-        # a source of atypicality 0 has no component, so no oracle call
+        # every source, atypicality 0 (no component, no target) included
         for lam, targets in sweep:
-            if not atypicality(lam):
-                continue
             seen[:] = lam, 0
             ds1(lam)
             for nu in targets:
                 oracle_mult1(lam, nu)
+            dsr(lam, 0)
             # from rank 1: at rank 0 the one component is lam, checked as such
             for r in range(1, atypicality(lam) + 1):
                 assert check_purity(dsr(lam, r), lam), (fmt(lam), r)
-            # one check in ds1, one in the oracle's first call
-            assert 1 <= seen[1] <= 2, (fmt(lam), seen[1])
-            most = max(most, seen[1])
-        assert most == 2
+            ds_osp(lam)
+            # the one check is ds1's, which writes the record the rest read
+            assert seen[1] == 1, (fmt(lam), seen[1])
 
     @pytest.mark.parametrize("text,t,fields", [
         ("+oxox", 0, (0, 0, None, "oxox", None)),    # t=0 without its sign
@@ -410,8 +407,8 @@ class TestSourceRecord:
         assert validate(bad)
         nu = next(iter(ds1(lam).components))
         want = str(_outcome(check_valid, bad)[1])
-        for fn, args in ((oracle_mult1, (bad, nu)), (dsr, (bad, 1)),
-                         (check_purity, (dsr(lam, 1), bad))):
+        for fn, args in ((oracle_mult1, (bad, nu)), (dsr, (bad, 1)), (ds1, (bad,)),
+                         (ds_osp, (bad,)), (check_purity, (dsr(lam, 1), bad))):
             oracle_mult1(lam, nu)
             assert howl_module._last[0] is lam
             with pytest.raises(DomainError) as e:
