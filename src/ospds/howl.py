@@ -66,6 +66,12 @@ def _compact(d: WeightDiagram) -> tuple[int, str, str | None]:
     return stack, tail, sign if stack or tail else None
 
 
+def _bare(tail: str) -> str:
+    """``tail`` with its crosses erased, ending at its last core symbol."""
+    i, j = tail.rfind(GT), tail.rfind(LT)  # not max(): half the cost on short tails
+    return tail[:(i if i > j else j) + 1].replace(CROSS, EMPTY)
+
+
 def _source(lam: WeightDiagram) -> tuple:
     """(t, zero core, atypicality, crossless tail, ``_compact``) of ``lam``;
     on a miss ``lam`` is checked, and every reader writes the record."""
@@ -74,8 +80,7 @@ def _source(lam: WeightDiagram) -> tuple:
     if last[0] is lam:
         return last[1]
     t, stack, core, tail, _ = check_valid(lam)
-    fields = (t, core, stack + tail.count(CROSS),  # the crossless tail ends at its last core symbol
-              tail[:max(tail.rfind(GT), tail.rfind(LT)) + 1].replace(CROSS, EMPTY), _compact(lam))
+    fields = t, core, stack + tail.count(CROSS), _bare(tail), _compact(lam)
     if type(lam) is WeightDiagram:
         _last = lam, fields
     return fields

@@ -34,7 +34,7 @@ from collections import namedtuple
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _fold,
                       check_valid, fmt)
 from .ds import GradedMult, ZERO
-from .howl import _compact, _source
+from .howl import _bare, _compact, _source
 
 _EMPTY_TARGET = (0, "", None)  # ``o``, or the bare zero ``>`` of type 2
 
@@ -82,7 +82,7 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
     if t != nt:
         raise DomainError("source and target must share the block type")
     # same t, zero core and crossless tail: same core (the t=0 sign follows)
-    if core != ncore or bare != ntail.replace(CROSS, EMPTY).rstrip(EMPTY):
+    if core != ncore or bare != _bare(ntail):
         if trace is not None:
             _note(trace, "cores differ", t, lam, nu)
         return ZERO

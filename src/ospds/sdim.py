@@ -1,13 +1,13 @@
 """Superdimensions from the rank-k reduction and the Weyl dimension formula.
 
 The reduction preserves superdimension, and reducing by the full atypicality k
-strips all crosses, with the whole arc forest as its one filter.  When n = k
-the residue is a plain orthogonal Lie algebra so_(2(m-k)+t): the answer is the
-filter's signed multiplicity, doubled when t=0 signs ``lam`` with its crosses
-erased, times one Weyl product over the ``>`` of ``lam``.  When n > k the
-residue keeps odd directions; while m > k or t = 2 every component is typical
-there, so the answer is 0; at k = m < n that 0 is a known defect (ROADMAP
-item 12): ``ospds sdim "<" --t 1 --m 0 --n 1`` prints 0, not 1.
+strips all crosses, with the whole arc forest as its one filter, graded by
+``ds._whole`` in one pass.  When n = k the residue is a plain orthogonal Lie
+algebra so_(2(m-k)+t): the answer is its signed multiplicity, doubled when t=0
+signs ``lam`` with its crosses erased, times one Weyl product over the ``>`` of
+``lam``.  When n > k the residue keeps odd directions; while m > k or t = 2
+every component is typical there, so the answer is 0; at k = m < n that 0 is a
+known defect (ROADMAP item 12): ``ospds sdim "<" --t 1 --m 0 --n 1`` prints 0, not 1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .diagram import CROSS, EMPTY, GT, DomainError, WeightDiagram, _check_counts, _needs_sign
-from .ds import _filters, _graded
+from .ds import _whole
 from .howl import _howl
 from .weightmap import _rationals
 
@@ -84,13 +84,13 @@ def _core_dim(lam: WeightDiagram) -> int:
 
 
 def superdimension(lam: WeightDiagram, m: int, n: int) -> int:
-    """Superdimension of the simple module ``lam`` over osp(2m+t|2n), read off
-    its whole arc forest; ``(m, n)`` must match the diagram's symbol counts."""
+    """Superdimension of the simple module ``lam`` over osp(2m+t|2n), graded off
+    its whole arc forest in one pass; ``(m, n)`` must match its symbol counts."""
     k = _check_counts(lam, m, n)
     if n > k:
         return 0
     if not k:
         return _core_dim(lam)
     t, _, core, tail, _ = lam
-    d0, d1 = _graded(h := _howl(lam), *next(_filters(h, k)))
+    d0, d1 = _whole(_howl(lam))
     return (d0 - d1) * (1 + _needs_sign(t, 0, core, tail.replace(CROSS, EMPTY))) * _core_dim(lam)

@@ -209,7 +209,7 @@ def _number(kind, token: str):
     m = _NUMBER_RE.fullmatch(token)
     if m and len(m[1]) > len(m[2] or "") + len(str(MAX_WIDTH)):
         raise DomainError(f"weight number above the cap MAX_WIDTH = {MAX_WIDTH}")
-    if kind is Q:
+    if kind is Q and not m:  # a number _NUMBER_RE reads holds no exponent
         _check_exponent(token)
     try:
         return kind(token)

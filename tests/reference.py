@@ -16,7 +16,8 @@ multiplicities in the parity-shift group ring.
 ``lifted_dsr`` is the order-filter reduction with each component built in
 three steps: its crosses erased in the compacted diagram, the result lifted
 back into the core by ``_unhowl`` and added up, where the library erases the
-crosses in the diagram itself; both grade each filter with ``ds._graded``.
+crosses in the diagram itself; it grades each filter with ``ds._graded``,
+where the library grades rank k's one filter with ``ds._whole``.
 
 ``stabilize`` is the move loop of :mod:`ospds.translate` that recomputes
 every position list and tests every core position against every cross on

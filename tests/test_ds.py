@@ -10,8 +10,8 @@ import reference
 from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality, build,
                            core_of, enumerate_corefree, fmt, is_stable, pari,
                            sigma, validate)
-from ospds.ds import (Decomposition, GradedMult, _after_stack, _filters, _graded, check_purity,
-                      ds1, ds_osp, dsr)
+from ospds.ds import (Decomposition, GradedMult, _after_stack, _filters, _graded, _whole,
+                      check_purity, ds1, ds_osp, dsr)
 from ospds.howl import UnhowlError, _howl, howl, tau, unhowl
 from ospds.translate import stabilize
 from reference import gm_mul
@@ -481,15 +481,16 @@ def _same_filters_as_the_subsets(h):
     """Every order filter of ``h`` against the r-subsets of the preorder
     forest that hold each member's parent: the member lists in the same
     order, the forest rows, and the grading against the row-based weight and
-    parity rule; at the whole forest, rank n's one filter, the rows as a set."""
+    parity rule; at the whole forest, rank n's one filter, the rows in
+    preorder, graded by ``_whole`` as well."""
     n, rows = atypicality(h), reference.forest_rows(h)
     assert list(_filters(h, 0)) == [], fmt(h)
     for r in range(1, n):
         _same_as_the_subsets(h, r, rows)
     if n:
         (forest, members), = [(forest, list(members)) for forest, members in _filters(h, n)]
-        assert sorted(forest) == sorted(rows) and members == list(range(n)), fmt(h)
-        assert _graded(h, forest, members) == reference.graded(h, rows), fmt(h)
+        assert forest == rows and members == list(range(n)), fmt(h)
+        assert _graded(h, forest, members) == _whole(h) == reference.graded(h, rows), fmt(h)
 
 
 def _same_as_the_subsets(h, r, rows):
@@ -547,6 +548,49 @@ class TestFilterRows:
             h = P(text, t)
             assert list(_filters(h, 0)) == []
             assert all(type(w) is int for w in _graded(h, [], [])), text
+
+
+class TestWhole:
+    """One pass over the tail grades the whole forest, rank k's one filter,
+    with no row built: against the row-based rule on the rows of the arc
+    diagram, and rank k's one component against the erase-and-lift route."""
+
+    def test_pool(self, corefree_pool):
+        for h in corefree_pool:
+            assert _whole(h) == reference.graded(h, reference.forest_rows(h)), fmt(h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=diagrams())
+    def test_random_diagrams(self, lam):
+        h = _howl(lam)
+        assert _whole(h) == reference.graded(h, reference.forest_rows(h)), fmt(h)
+
+    def test_rank_k_on_the_pool_lifts(self, corefree_pool, small_cores):
+        lifted = 0
+        for h in corefree_pool:
+            for g in small_cores[h.t]:
+                try:
+                    lifts = unhowl(g, h)
+                except UnhowlError:
+                    continue
+                for lam in lifts:
+                    k = atypicality(lam)
+                    assert list(dsr(lam, k).components.items()) \
+                        == list(reference.lifted_dsr(lam, k).components.items()), fmt(lam)
+                    lifted += not lam.is_core_free()
+        assert lifted > 1000
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_deep_stacks_past_the_tail(self, t):
+        # double-ended arcs whose ends lie past the tail, under side-by-side
+        # roots and nests that close only in the padding
+        rng = random.Random(f"whole:{t}")
+        for _ in range(20):
+            tail = "".join("o" * rng.randint(0, 2) + _tree(rng, rng.randint(1, 3))[:-1]
+                           for _ in range(rng.randint(1, 3)))
+            body = WeightDiagram(t, rng.randint(1, 6), GT if t == 2 else None, tail)
+            h = rng.choice([d for d in map(body.with_sign, (None, "+", "-")) if not validate(d)])
+            assert _whole(h) == reference.graded(h, reference.forest_rows(h)), fmt(h)
 
 
 # (chain, r) pairs that the benchmark's pool_sweep workload sends at seed 1

@@ -5,7 +5,7 @@ import reference
 from ospds.diagram import (DomainError, atypicality, core_of,
                            enumerate_corefree, fmt, is_stable, tail_length,
                            validate)
-from ospds.howl import UnhowlError, _howl, howl, tau, tau_inv, unhowl
+from ospds.howl import UnhowlError, _bare, _howl, howl, tau, tau_inv, unhowl
 from conftest import P, diagrams
 
 
@@ -89,6 +89,23 @@ class TestHowl:
         else:
             assert h.is_core_free() and validate(h) == []
             assert _howl(h) == h
+
+
+class TestBareTail:
+    """The crossless tail that the oracle compares, cut at the last core
+    symbol, is the tail with its crosses erased and its trailing empties
+    stripped."""
+
+    @pytest.mark.parametrize("tail,want", [("", ""), ("xxoo", ""), ("o" * 1000, ""),
+                                           (">x<xoo", ">o<"), ("o>oxo", "o>"), ("<", "<")])
+    def test_worked_examples(self, tail, want):
+        assert _bare(tail) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=diagrams())
+    def test_random_diagrams(self, d):
+        tail = d.tail_symbols
+        assert _bare(tail) == tail.replace("x", "o").rstrip("o")
 
 
 class TestUnhowl:

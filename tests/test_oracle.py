@@ -45,6 +45,17 @@ class TestKnownValues:
         assert "flip signs" in rules
         assert all(str(s) for s in trace)
 
+    def test_a_wide_core_free_target(self):
+        # a core-free target's crossless tail is cut at once, however many
+        # trailing empties it has; the source is core-free too
+        lam = P("ox" * 500, 1)
+        dec = ds1(lam)
+        first, last = P("oo" + "ox" * 499, 1), P("ox" * 499, 1)
+        assert first.width >= 1000
+        for nu in (first, last):
+            assert oracle_mult1(lam, nu) == dec.get(nu) != ZERO, fmt(nu)
+        assert oracle_mult1(lam, P("oooo" + "ox" * 498, 1)) == ZERO  # the gap is two
+
 
 class TestConsistency:
     def test_matches_ds1_componentwise(self, corefree_pool):

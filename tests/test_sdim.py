@@ -194,9 +194,10 @@ class TestSuperdimension:
                                                                 small_cores):
         # rank k has one order filter, the whole forest: no component stream,
         # no Decomposition and no component diagram, only a cored lam's
-        # compaction
+        # compaction, and no arc rows or filter search either
         watched = {ds._dsr.__code__: "_dsr", ds._components.__code__: "_components",
-                   WeightDiagram._trusted.__func__.__code__: "_trusted"}
+                   WeightDiagram._trusted.__func__.__code__: "_trusted",
+                   ds._filters.__code__: "_filters", ds._sweep.__code__: "_sweep"}
         calls = collections.Counter()
 
         def profile(frame, event, arg):
@@ -217,6 +218,7 @@ class TestSuperdimension:
             finally:
                 sys.setprofile(before)
             assert not calls["_dsr"] and not calls["_components"], (str(lam), calls)
+            assert not calls["_filters"] and not calls["_sweep"], (str(lam), calls)
             assert calls["_trusted"] <= (not lam.is_core_free()), (str(lam), calls)
             read += n == k
         assert read > 1000

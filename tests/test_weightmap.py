@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from ospds import weightmap
 from ospds.diagram import GT, LT, DomainError, atypicality, enumerate_corefree, fmt
 from ospds.weightmap import (DominantWeight, diagram_to_weight, parse_weight,
                              weight_to_diagram)
@@ -127,6 +128,16 @@ class TestParseWeight:
     def test_exponent_literals_of_up_to_five_digits_read_as_fraction(self, text):
         w = parse_weight(f"D 1 0 / {text} / -")
         assert w.a == (Q(text),) and type(w.a[0]) is Q
+
+    def test_only_a_token_that_is_no_plain_number_meets_the_exponent_check(self, monkeypatch):
+        calls, real = [], weightmap._check_exponent
+        monkeypatch.setattr(weightmap, "_check_exponent", lambda text: calls.append(text) or real(text))
+        assert parse_weight("B 1 1 / -1/2 / 1/2").a == (Q(-1, 2),)
+        assert calls == []
+        assert parse_weight("D 1 0 / 1e3 / -").a == (Q(1000),)
+        assert calls == ["1e3"]
+        with pytest.raises(DomainError, match="exponent longer than the cap"):
+            parse_weight("D 1 0 / 1e100000000 / -")
 
     def test_fields_stay_fractions(self):
         q = Q(5, 2)
