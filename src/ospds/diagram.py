@@ -298,10 +298,10 @@ def _check_counts(d: WeightDiagram, m: int, n: int) -> int:
     # type(), not isinstance(), as the constructor: True and 1.0 are no count
     if type(m) is not int or type(n) is not int:
         raise DomainError(f"m and n must be ints, got {m!r} and {n!r}")
-    check_valid(d)
-    k = atypicality(d)
-    want_gt = m + 1 - k if d.t == 2 else m - k
-    if d.count(GT) != want_gt or d.count(LT) != n - k:
+    t, stack, core, tail, _ = check_valid(d)
+    k = stack + tail.count(CROSS)
+    if tail.count(GT) + (core == GT) != (m + 1 - k if t == 2 else m - k) \
+            or tail.count(LT) + (core == LT) != n - k:
         raise DomainError(f"count mismatch: {fmt(d)!r} does not describe a weight "
                           f"with m={m}, n={n}")
     return k

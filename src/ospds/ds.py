@@ -30,8 +30,8 @@ at the zero stack, else ``_ROOT_MULT[t != 0][e & 1]``.  Ranks 2 to k - 1 erase
 each filter of :func:`_filters` in one list copy of lam's tail, and
 :func:`_graded` counts each member's subtree and members wholly left in F as
 it sums the parity and W.  Rank k erases every cross, and :func:`_whole`
-grades the whole forest in one pass, for ``sdim.superdimension`` too; both
-graders end in :func:`_finish`.  W is:
+grades the whole forest in one pass, for ``sdim.superdimension`` too, its
+parity off ``diagram._parity``; both graders end in :func:`_finish`.  W is:
 
 * t = 1, 2: a step counts 2, or 1 when ``e`` is 0: when the arc is tight,
   the N arcs wholly to its left in the forest filling every position before
@@ -48,7 +48,6 @@ graders end in :func:`_finish`.  W is:
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from bisect import bisect_left
@@ -217,31 +216,33 @@ def _graded(h: WeightDiagram, forest: list[tuple], members: list[int]) -> Graded
 def _whole(h: WeightDiagram) -> GradedMult:
     """The graded multiplicity of rank k's one filter, the whole forest of a valid
     core-free ``h``, in one pass that matches crosses to empties as ``_sweep`` does,
+    with one padded empty per arc still open past the tail, graded by ``_parity``;
     not in ``_sweep``: its rows and a loop over them made superdimension 30% slower."""
     t, stack, _, tail, _ = h
     t2, supports = t == 2, [0] if t != 2 and stack else []  # a single-ended lowest zero cross
     taken = 2 * (stack - len(supports))  # ends of the double-ended arcs
-    num, den, odd, chain, firsts, closed, p = 1, 1, 0, [], [], 0, 0
-    padded = itertools.chain(tail, iter(lambda: EMPTY if supports else None, None))
-    for p, sym in enumerate(padded, 1):
-        if sym == CROSS:
-            supports.append(p)
-            odd += p - t2
-        elif supports:
-            support = supports.pop()
-            s = (p - support + 1) // 2  # its span holds its subtree
-            den *= s
-            left = closed - (p - support - 1) // 2 + len(firsts) // 2  # the sweep's formula
-            if t and (not support or support == 2 * left + t2):  # tight
-                num, den = num * (2 * left + s), den * 2 * (left + s)
-            if not support:
-                chain.append(s)
-            closed += 1
-        elif len(firsts) < taken:
-            firsts.append(p)
+    num, den, chain, firsts, closed, p = 1, 1, [], [], 0, 0
+    for padding in (False, True):  # the stored tail, then one empty per arc still open
+        for p, sym in enumerate(EMPTY * len(supports) if padding else tail, p + 1):
+            if sym == CROSS:
+                supports.append(p)
+            elif supports:
+                support = supports.pop()
+                s = (p - support + 1) // 2  # its span holds its subtree
+                den *= s
+                if t:
+                    left = closed - (p - support - 1) // 2 + len(firsts) // 2  # the sweep's formula
+                    if not support or support == 2 * left + t2:  # tight
+                        num, den = num * (2 * left + s), den * 2 * (left + s)
+                elif not support:
+                    chain.append(s)
+                closed += 1
+            elif len(firsts) < taken:
+                firsts.append(p)
     # double-ended arcs take the first free positions two at a time, all free past the sweep
     sizes = [(q + 1) // 2 for q in [*firsts, *range(p + 1, p + 1 + taken)][1:taken:2]]
     den *= math.prod(sizes) << len(sizes) if t else math.prod(sizes)  # tight: s / 2s cancels s
+    odd = _parity(t, tail) < 0
     return _finish(h, r := closed + len(sizes), math.factorial(r) * num, den, odd, chain + sizes)
 
 

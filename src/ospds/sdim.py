@@ -70,8 +70,11 @@ def weyl_dim_so(N: int, hw) -> int:
 
 
 def _core_dim(lam: WeightDiagram) -> int:
-    """Ordinary so-dimension of ``lam`` with no ``<``, its crosses erased."""
+    """Ordinary so-dimension of ``lam`` with no ``<``, its crosses erased; 1 when
+    its tail holds no ``>``: so_0 to so_3 at rho, with at most the zero ``>``."""
     tail, positions = lam.tail_symbols, []
+    if GT not in tail:
+        return 1
     q = tail.rfind(GT)
     while q >= 0:  # right to left: the coordinates decrease
         positions.append(q + 1)

@@ -550,6 +550,11 @@ class TestFilterRows:
             assert all(type(w) is int for w in _graded(h, [], [])), text
 
 
+# zero tokens that a run of crosses follows in TestWhole: with no stack, under
+# a bare or a folded stack, and under a double-ended stack
+_OPEN_ENDED = {0: ["+o", "x", "x^3"], 1: ["o", "+x", "-x^2", "-x^3"], 2: [">", "x/>", "x^2/>"]}
+
+
 class TestWhole:
     """One pass over the tail grades the whole forest, rank k's one filter,
     with no row built: against the row-based rule on the rows of the arc
@@ -585,11 +590,18 @@ class TestWhole:
         # double-ended arcs whose ends lie past the tail, under side-by-side
         # roots and nests that close only in the padding
         rng = random.Random(f"whole:{t}")
+        deep = []
         for _ in range(20):
             tail = "".join("o" * rng.randint(0, 2) + _tree(rng, rng.randint(1, 3))[:-1]
                            for _ in range(rng.randint(1, 3)))
             body = WeightDiagram(t, rng.randint(1, 6), GT if t == 2 else None, tail)
-            h = rng.choice([d for d in map(body.with_sign, (None, "+", "-")) if not validate(d)])
+            deep.append(rng.choice([d for d in map(body.with_sign, (None, "+", "-"))
+                                    if not validate(d)]))
+        # tails that end in a run of crosses: every arc of the run, and the
+        # stack's, closes past the stored tail
+        for zero in _OPEN_ENDED[t]:
+            deep += [P(zero + "x" * d, t) for d in range(1, 13)]
+        for h in deep:
             assert _whole(h) == reference.graded(h, reference.forest_rows(h)), fmt(h)
 
 

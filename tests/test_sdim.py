@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospds.diagram import (GT, LT, DomainError, WeightDiagram, atypicality,
-                           enumerate_corefree, validate)
+                           enumerate_corefree, fmt, validate)
 from ospds import ds, sdim
 from ospds.howl import UnhowlError, unhowl
 from ospds.sdim import (_core_dim, _dim_from_shifted, superdimension,
                         weyl_dim_so)
+from ospds.weightmap import diagram_to_weight
 from conftest import P, diagrams
 from reference import dim_from_shifted, dsr
 
@@ -172,8 +173,39 @@ class TestSuperdimension:
                     superdimension(sigma(lam), k, k)
 
     def test_count_mismatch(self):
-        with pytest.raises(DomainError):
-            superdimension(P("x", 0), 2, 1)
+        # each case passes at its own (m, n) and is refused, with the exact
+        # message, at each neighbour, by both callers of the one count check
+        for text, t, m, n in _COUNT_CASES:
+            lam = P(text, t)
+            superdimension(lam, m, n)
+            diagram_to_weight(lam, m, n)
+            for bad in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1), (m + 1, n + 1)):
+                want = (f"count mismatch: {fmt(lam)!r} does not describe a weight "
+                        f"with m={bad[0]}, n={bad[1]}")
+                for call in (superdimension, diagram_to_weight):
+                    with pytest.raises(DomainError) as err:
+                        call(lam, *bad)
+                    assert str(err.value) == want, (text, call.__name__)
+
+    def test_no_weyl_product_without_a_gt_in_the_tail(self, monkeypatch, corefree_pool,
+                                                      small_cores):
+        # the only core symbol left is the zero '>', if any: the product is
+        # so_0 to so_3 at rho, which is 1, and superdimension takes none
+        calls, read, seen = [], 0, set()
+        real = sdim._dim_from_shifted
+        monkeypatch.setattr(sdim, "_dim_from_shifted",
+                            lambda N, a: calls.append(N) or real(N, a))
+        for lam in corefree_pool + _lifts(small_cores):
+            if GT in lam.tail_symbols:
+                continue
+            odd, positions = lam.t == 1, [0] if lam.zero_core == GT else []
+            N = 2 * len(positions) + odd
+            assert _dim_from_shifted(N, [2 * p + odd for p in positions]) == 1, str(lam)
+            seen.add(N)
+            m, n = _mn(lam)
+            superdimension(lam, m, n)
+            read += n == atypicality(lam)  # the calls that reach the product
+        assert not calls and read > 900 and seen == {0, 1, 2, 3}
 
     def test_cored_example(self):
         # one cross behind a single core marker: the two signed components
@@ -222,6 +254,13 @@ class TestSuperdimension:
             assert calls["_trusted"] <= (not lam.is_core_free()), (str(lam), calls)
             read += n == k
         assert read > 1000
+
+
+# (diagram, t, m, n) for the count check, at t = 0, 1 and 2: zero '>' and
+# '<' cores, '>' and '<' in the tail, crosses in the stack and in the tail
+_COUNT_CASES = [("x", 0, 1, 1), ("+o>ox<", 0, 2, 2), ("<o<", 0, 0, 2), ("o", 0, 0, 0),
+                ("-x^2o>", 1, 3, 2), (">ox<", 1, 2, 2), ("<x>", 1, 2, 2), ("o", 1, 0, 0),
+                (">", 2, 0, 0), (">x<>", 2, 2, 2), ("x^2/>o<x", 2, 3, 4)]
 
 
 def _lifts(small_cores):
