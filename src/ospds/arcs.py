@@ -41,7 +41,6 @@ unsigned.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
 
 from .diagram import CROSS, EMPTY, GT, DomainError, WeightDiagram, check_valid, fmt
 from .howl import howl
@@ -94,24 +93,24 @@ def _sweep(h: WeightDiagram, arcs: list[tuple] | None = None) -> dict[int, int]:
     free, firsts, closed, p = 0 if t == 2 or stack else 1, [], 0, 0
     # the top double-ended arc comes first, with e = 0
     roots = {0: 0} if taken else {}
-    # trailing empties while a single-ended arc is open
-    for p, s in enumerate(chain(tail, iter(lambda: EMPTY if supports else None, None)), 1):
-        if s == CROSS:
-            supports.append(p)
-        elif supports:
-            support = supports.pop()
-            if not supports and free >= taken:  # past the zero stack's top
-                roots[support] = free - taken
-            if arcs is not None:
-                # the closed arcs not inside it, and the double-ended arcs
-                # whose ends are all free positions left of it
-                arcs.append((support, 0, (p,),
-                             closed - (p - support - 1) // 2 + min(free, taken) // 2))
-                closed += 1
-        else:
-            if free < taken:
-                firsts.append(p)
-            free += 1
+    for padding in (False, True):  # the stored tail, then one empty per arc still open
+        for p, s in enumerate(EMPTY * len(supports) if padding else tail, p + 1):
+            if s == CROSS:
+                supports.append(p)
+            elif supports:
+                support = supports.pop()
+                if not supports and free >= taken:  # past the zero stack's top
+                    roots[support] = free - taken
+                if arcs is not None:
+                    # the closed arcs not inside it, and the double-ended arcs
+                    # whose ends are all free positions left of it
+                    arcs.append((support, 0, (p,),
+                                 closed - (p - support - 1) // 2 + min(free, taken) // 2))
+                    closed += 1
+            else:
+                if free < taken:
+                    firsts.append(p)
+                free += 1
     if taken and arcs is not None:
         # the double-ended arcs take the first free positions two at a time,
         # innermost first, and are listed outermost first; past the sweep

@@ -4,13 +4,12 @@ The rank-r reduction has one component per order filter F of r arcs in the
 arc forest of the compacted diagram: a set of arcs holding the enclosing arc
 of each member, which is what r steps can remove.  The component is erased
 in lam: lam's own diagram with the crosses of F erased, zero-stack arcs off
-the top of the stack; compaction only finds the arcs.  Compacted position p
-is index at[p] of lam's tail: the table lists the indices free of the core,
-after a None unless a zero core folded the first into the stack, so a
-folded cross is at[0], the last the stack gives up.  The one sign rule
-signs the result: a t=0 component that needs a sign comes in both signings,
-a t=1 one keeps lam's sign.  A step removes a root with a multiplicity read
-off the parity of ``e``, the free positions left of its support:
+the top of the stack; compaction only finds the arcs, and the table ``at``
+of ``howl._source`` maps each compacted position to its index in lam's
+tail.  The one sign rule signs the result: a t=0 component that needs a
+sign comes in both signings, a t=1 one keeps lam's sign.  A step removes a
+root with a multiplicity read off the parity of ``e``, the free positions
+left of its support:
 
     t = 1, 2:  (1|0) for e = 0,   (2|0) for even e > 0,   (0|2) for odd e
     t = 0:     (1|0) for even e,  (0|1) for odd e
@@ -49,15 +48,14 @@ parity off ``diagram._parity``; both graders end in :func:`_finish`.  W is:
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from collections import namedtuple
 from operator import itemgetter
 
 from .arcs import _sweep
-from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _needs_sign, _parity,
+from .diagram import (CROSS, EMPTY, DomainError, WeightDiagram, _needs_sign, _parity,
                       check_valid, fmt)
-from .howl import _compact, _source
+from .howl import _howl, _source
 
 
 class GradedMult(namedtuple("GradedMult", "d0 d1")):
@@ -76,7 +74,6 @@ ZERO = GradedMult(0, 0)
 ONE = GradedMult(1, 0)
 # the rank-1 table of the module docstring for e > 0: _ROOT_MULT[t != 0][e & 1]
 _ROOT_MULT = ((ONE, GradedMult(0, 1)), (GradedMult(2, 0), GradedMult(0, 2)))
-_FREE_RUNS = re.compile("[ox]+")  # the runs of a tail free of the core
 
 
 class Decomposition(namedtuple("Decomposition", "t components")):
@@ -130,19 +127,12 @@ def _dsr(lam: WeightDiagram, r: int, source: tuple) -> Decomposition:
 
 def _components(lam: WeightDiagram, r: int, source: tuple):
     """Each component of the rank-``r`` reduction of the valid ``lam``, r >= 1,
-    as an unsigned row (zero stack, erased tail, GradedMult)."""
-    t, core, k, _, (hstack, htail, hsign) = source
+    as an unsigned row (zero stack, erased tail, GradedMult); the arcs are
+    those of the record's compaction ``h``, at lam's indices ``at``."""
+    k, _, h, at = source
     if r > k:
         return
-    _, stack, _, tail, _ = lam
-    # at[p]: the index in lam's tail of compacted position p, p - 1 if core-free
-    if htail == tail and (t == 2 or core is None):  # core-free: lam is its compaction
-        h, at = lam, range(-1, len(tail))
-    else:
-        h = WeightDiagram._trusted(t, hstack, GT if t == 2 else None, htail, hsign)
-        at = [] if t != 2 and core is not None else [None]
-        for m in _FREE_RUNS.finditer(tail):
-            at += range(*m.span())
+    t, stack, _, tail, _ = lam
     if r == 1:
         # each root is a component: erase its one cross, read the table
         mults = _ROOT_MULT[t != 0]
@@ -171,11 +161,10 @@ def _filters(h: WeightDiagram, r: int):
     (support, subtree size, arcs wholly left of it, tight) read off the sweep
     once, and the indices of the members in one list that each filter reuses."""
     _sweep(h, arcs := [])
-    n = len(arcs)
+    n, t2 = len(arcs), h[0] == 2
     # preorder: a subtree is a run, and an arc before ``a`` encloses ``a`` or
     # lies wholly left of it; the sweep lists the zero-stack arcs outermost first
     arcs.sort(key=itemgetter(0))
-    t2 = h.t == 2
     forest = [(p, (ends[-1] - p + 1) // 2, left, p in (0, 2 * left + t2))
               for p, _, ends, left in arcs]
     # (next arc, members kept): an arc is reached only when its parent is a
@@ -196,7 +185,7 @@ def _filters(h: WeightDiagram, r: int):
 def _graded(h: WeightDiagram, forest: list[tuple], members: list[int]) -> GradedMult:
     """The graded multiplicity, by the module docstring's rules, of the
     component that removing the filter ``members`` of ``forest`` leaves."""
-    t, r, t2 = h.t, len(members), h.t == 2
+    t, r, t2 = h[0], len(members), h[0] == 2
     num, den, odd, chain = math.factorial(r), 1, 0, []
     for m, i in enumerate(members):
         p, s, left, tight = forest[i]
@@ -248,11 +237,12 @@ def _whole(h: WeightDiagram) -> GradedMult:
 
 def _finish(h: WeightDiagram, r: int, num: int, den: int, odd: int, chain: list[int]) -> GradedMult:
     """W of a filter of ``r`` arcs by the module docstring's rules, graded by ``odd``."""
-    if h.t:
+    t, stack, _, _, _ = h
+    if t:
         w = (num << r) // den
-    elif not h.zero_crosses:
+    elif not stack:
         w = (num << r >> 1) // den
-    elif len(chain) < h.zero_crosses:  # the lowest zero cross stays
+    elif len(chain) < stack:  # the lowest zero cross stays
         w = num // den
     else:
         after, orders = _after_stack(sorted(chain), r)
@@ -285,13 +275,16 @@ def _after_stack(chain: list[int], r: int) -> tuple[int, int]:
 
 def check_purity(dec: Decomposition, lam: WeightDiagram) -> bool:
     """No component may occur together with its parity shift, and each grading,
-    ``pari`` of the compaction, must be the source's twisted by the shift; the
-    source's is read off the compacted tail that ``howl._source`` records."""
-    base = _parity(lam.t, _source(lam)[4][1])
+    ``pari`` of the compaction, must be the source's twisted by the shift; each
+    is read off a compacted tail: the source's off the compaction that
+    ``howl._source`` records, a component's off ``howl._howl``."""
+    t, _, _, tail, _ = _source(lam)[2]
+    base = _parity(t, tail)
     for nu, (d0, d1) in dec.components.items():
         if d0 and d1:
             return False
-        p = _parity(nu.t, _compact(check_valid(nu))[1])
+        nt, _, _, ntail, _ = _howl(check_valid(nu))
+        p = _parity(nt, ntail)
         if d0 and p != base or d1 and p != -base:
             return False
     return True
@@ -305,9 +298,10 @@ def ds_osp(lam: WeightDiagram) -> Decomposition:
     members.  For the odd series the labels carry an extra +/- tag that both
     sides must share, and the multiplicities are those of :func:`ds1`.
     """
-    if (source := _source(lam))[0] == 1:
-        return _dsr(lam, 1, source)
+    source = _source(lam)
     t, _, core, _, sign = lam
+    if t == 1:
+        return _dsr(lam, 1, source)
     # one unsigned key per component: its two signings share a multiplicity
     return Decomposition(t, {WeightDiagram._trusted(t, s, core, erased, None):
                              mult + mult if sign else mult

@@ -6,10 +6,9 @@ counts the positions strictly to its left that hold no core symbol (t=2
 shifts the off-zero landing spots up by one because the zero ``>`` is kept).
 Several crosses may share s_i = 0; they pile up on the zero stack.  A zero
 core symbol is forgotten by folding the first free position into the zero
-stack, which fixes the sign; otherwise the sign is kept.  ``_compact`` is
-the one compaction rule: it returns the zero stack, tail and sign of the
-result without building a diagram, and ``_howl`` builds its diagram from
-them, or returns a core-free diagram as it is.
+stack, which fixes the sign; otherwise the sign is kept.  ``_howl`` is the
+one compaction rule: it returns a core-free diagram as it is, and builds
+any other's compaction once.
 
 ``unhowl`` inverts this inside a block: given the core and the compacted
 diagram it re-distributes the crosses over the core's free slots.  Under a
@@ -22,18 +21,26 @@ the lifts.  The reduction lifts nothing: it finds the arcs in the compacted
 diagram and erases their crosses in the block's own diagram.
 
 ``_source`` records the last source that ``ds1``, ``dsr``, ``ds_osp``, the
-oracle or ``check_purity`` read and the fields read off it, in one slot keyed
-on identity, written by each of them after ``check_valid`` passes and for a
-``WeightDiagram`` only (immutable; the slot's reference keeps its id from
-reuse), and replaced whole, so threads share it.
+oracle or ``check_purity`` read, with its atypicality, its crossless tail
+(the core, given the block type and zero core), its compaction ``h``, the
+source itself when core-free, and the table ``at``: compacted position p
+is index at[p] of the source's tail, p - 1 when core-free; else the table
+lists the indices free of the core, after a None unless a zero core folded
+the first into the stack, so a folded cross is at[0], the last the stack
+gives up.  The slot is keyed on identity, written by each reader after
+``check_valid`` passes and for a ``WeightDiagram`` only (immutable; its
+reference keeps its id from reuse), and replaced whole, so threads share it.
 """
 
 from __future__ import annotations
+
+import re
 
 from .diagram import (CROSS, EMPTY, GT, LT, DomainError, WeightDiagram,
                       _fold, _needs_sign, _unfold, check_valid, fmt, validate)
 
 _last = (object(), None)  # (the recorded source, its fields)
+_FREE_RUNS = re.compile("[ox]+")  # the runs of a tail free of the core
 
 
 class UnhowlError(DomainError):
@@ -46,41 +53,35 @@ def howl(d: WeightDiagram) -> WeightDiagram:
 
 
 def _howl(d: WeightDiagram) -> WeightDiagram:
-    """:func:`howl` of a diagram known to be valid."""
-    if d.is_core_free():
-        return d
-    stack, tail, sign = _compact(d)
-    return WeightDiagram._trusted(d.t, stack, GT if d.t == 2 else None, tail, sign)
-
-
-def _compact(d: WeightDiagram) -> tuple[int, str, str | None]:
-    """The zero stack, tail and sign of :func:`howl` of a valid ``d``, in
-    canonical form, with no diagram built."""
+    """:func:`howl` of a diagram known to be valid: ``d`` itself when it is
+    core-free, else its compaction, built once."""
     t, stack, core, tail, sign = d
     # deleting the core symbols puts every cross on its s-number
-    tail = tail.replace(GT, "").replace(LT, "")
+    free = tail.replace(GT, "").replace(LT, "")
     if t != 2 and core is not None:
         # the zero core is forgotten: the first free position becomes zero
-        stack, tail, sign = _fold(stack, tail)
-    tail = tail.rstrip(EMPTY)
-    return stack, tail, sign if stack or tail else None
-
-
-def _bare(tail: str) -> str:
-    """``tail`` with its crosses erased, ending at its last core symbol."""
-    i, j = tail.rfind(GT), tail.rfind(LT)  # not max(): half the cost on short tails
-    return tail[:(i if i > j else j) + 1].replace(CROSS, EMPTY)
+        stack, free, sign = _fold(stack, free)
+    elif len(free) == len(tail):  # core-free
+        return d
+    return WeightDiagram._trusted(t, stack, GT if t == 2 else None, free, sign)
 
 
 def _source(lam: WeightDiagram) -> tuple:
-    """(t, zero core, atypicality, crossless tail, ``_compact``) of ``lam``;
-    on a miss ``lam`` is checked, and every reader writes the record."""
+    """(atypicality, crossless tail, ``_howl(lam)``, at) of ``lam``; on a miss
+    ``lam`` is checked, and every reader writes the record."""
     global _last
     last = _last
     if last[0] is lam:
         return last[1]
     t, stack, core, tail, _ = check_valid(lam)
-    fields = t, core, stack + tail.count(CROSS), _bare(tail), _compact(lam)
+    h = _howl(lam)
+    if h is lam:
+        at = range(-1, len(tail))
+    else:
+        at = [] if t != 2 and core is not None else [None]
+        for m in _FREE_RUNS.finditer(tail):
+            at += range(*m.span())
+    fields = stack + tail.count(CROSS), tail.replace(CROSS, EMPTY).rstrip(EMPTY), h, at
     if type(lam) is WeightDiagram:
         _last = lam, fields
     return fields

@@ -17,9 +17,10 @@ single-diagram semantics throughout.
 
 Only the two inputs are diagrams: the target is checked on every call, and
 the source once per run of calls, by its first reader (``howl._source``).
-The recursion runs on plain fields: the compacted zero stack, tail and sign
-that :func:`ospds.howl._compact` returns, with the block type and the zero
-``>`` of type 2 implied; ``p`` is the source's stack and ``i`` the target's.
+The recursion runs on plain fields: the zero stack, tail and sign of the
+compactions (the source's recorded, the target's from ``howl._howl``), the
+block type and type 2's zero ``>`` implied; ``p`` is the source's stack and
+``i`` the target's.
 Trace targets are fields or diagrams, never text; fields become a diagram,
 written by ``fmt``, only when a trace is asked for.
 
@@ -34,7 +35,7 @@ from collections import namedtuple
 from .diagram import (CROSS, EMPTY, GT, DomainError, WeightDiagram, _fold,
                       check_valid, fmt)
 from .ds import GradedMult, ZERO
-from .howl import _bare, _compact, _source
+from .howl import _howl, _source
 
 _EMPTY_TARGET = (0, "", None)  # ``o``, or the bare zero ``>`` of type 2
 
@@ -77,12 +78,13 @@ def _base(trace: list[Step] | None, rule: str, t: int, stack: int, tail: str,
 def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
                  trace: list[Step] | None = None) -> GradedMult:
     """Graded multiplicity of ``nu`` in the rank-1 reduction of ``lam``."""
-    t, core, k, bare, (p, tail, sign) = _source(lam)
+    k, bare, (_, p, _, tail, sign), _ = _source(lam)
+    t, _, core, _, _ = lam
     nt, nstack, ncore, ntail, _ = check_valid(nu)
     if t != nt:
         raise DomainError("source and target must share the block type")
     # same t, zero core and crossless tail: same core (the t=0 sign follows)
-    if core != ncore or bare != _bare(ntail):
+    if core != ncore or bare != ntail.replace(CROSS, EMPTY).rstrip(EMPTY):
         if trace is not None:
             _note(trace, "cores differ", t, lam, nu)
         return ZERO
@@ -90,7 +92,7 @@ def oracle_mult1(lam: WeightDiagram, nu: WeightDiagram,
         if trace is not None:
             _note(trace, "wrong atyp gap", t, lam, nu)
         return ZERO
-    i, gtail, gsign = _compact(nu)
+    _, i, _, gtail, gsign = _howl(nu)
     if trace is not None:
         _note(trace, "compact", t, (p, tail, sign), (i, gtail, gsign))
 

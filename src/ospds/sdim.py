@@ -72,17 +72,17 @@ def weyl_dim_so(N: int, hw) -> int:
 def _core_dim(lam: WeightDiagram) -> int:
     """Ordinary so-dimension of ``lam`` with no ``<``, its crosses erased; 1 when
     its tail holds no ``>``: so_0 to so_3 at rho, with at most the zero ``>``."""
-    tail, positions = lam.tail_symbols, []
+    t, _, core, tail, _ = lam
     if GT not in tail:
         return 1
-    q = tail.rfind(GT)
+    positions, q = [], tail.rfind(GT)
     while q >= 0:  # right to left: the coordinates decrease
         positions.append(q + 1)
         q = tail.rfind(GT, 0, q)
-    if lam.zero_core == GT:
+    if core == GT:
         positions.append(0)
     # the doubled shifted coordinates: 2p + 1 for the odd series, 2p for the even
-    odd = 1 if lam.t == 1 else 0
+    odd = 1 if t == 1 else 0
     return _dim_from_shifted(2 * len(positions) + odd, [2 * p + odd for p in positions])
 
 

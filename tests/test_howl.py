@@ -2,10 +2,10 @@ import pytest
 from hypothesis import assume, given, settings
 
 import reference
-from ospds.diagram import (DomainError, atypicality, core_of,
+from ospds.diagram import (DomainError, WeightDiagram, atypicality, core_of,
                            enumerate_corefree, fmt, is_stable, tail_length,
                            validate)
-from ospds.howl import UnhowlError, _bare, _howl, howl, tau, tau_inv, unhowl
+from ospds.howl import UnhowlError, _howl, _source, howl, tau, tau_inv, unhowl
 from conftest import P, diagrams
 
 
@@ -92,20 +92,50 @@ class TestHowl:
 
 
 class TestBareTail:
-    """The crossless tail that the oracle compares, cut at the last core
-    symbol, is the tail with its crosses erased and its trailing empties
-    stripped."""
+    """The crossless tail that the source record holds for the oracle's core
+    comparison ends at the last core symbol: it is the tail with its crosses
+    erased and its trailing empties stripped."""
 
     @pytest.mark.parametrize("tail,want", [("", ""), ("xxoo", ""), ("o" * 1000, ""),
                                            (">x<xoo", ">o<"), ("o>oxo", "o>"), ("<", "<")])
     def test_worked_examples(self, tail, want):
-        assert _bare(tail) == want
+        # t=1 with no zero stack needs no sign, whatever the tail holds
+        assert _source(WeightDiagram(1, 0, None, tail))[1] == want
 
     @settings(max_examples=300, deadline=None)
     @given(d=diagrams())
     def test_random_diagrams(self, d):
-        tail = d.tail_symbols
-        assert _bare(tail) == tail.replace("x", "o").rstrip("o")
+        tail, bare = d.tail_symbols, _source(d)[1]
+        assert bare == tail.replace("x", "o").rstrip("o")
+        assert bare == tail[:max(tail.rfind(">"), tail.rfind("<")) + 1].replace("x", "o")
+
+
+class TestSourceCompaction:
+    """The source record holds lam's compaction, lam itself when it is
+    core-free, and the table ``at`` that puts each compacted position at the
+    index of lam's tail holding the same symbol."""
+
+    def test_pool_and_lifts(self, small_cores):
+        lifted = 0
+        for t, cores in small_cores.items():
+            for k in range(5):
+                for h in enumerate_corefree(t, k, 8):
+                    lams = [h]
+                    for g in cores:
+                        try:
+                            lams += unhowl(g, h)
+                        except UnhowlError:
+                            continue
+                    for lam in lams:
+                        _, _, got, at = _source(lam)
+                        if lam.is_core_free():
+                            assert got is lam, fmt(lam)
+                        else:
+                            assert got == howl(lam) == reference._howl_diagram(lam), fmt(lam)
+                            lifted += 1
+                        for p, sym in enumerate(got.tail_symbols, 1):
+                            assert lam.tail_symbols[at[p]] == sym, (fmt(lam), p)
+        assert lifted > 1000
 
 
 class TestUnhowl:

@@ -368,3 +368,26 @@ def test_matches_full_reduction_on_wide_high_rank_forests(t):
     assert max(lam.width for lam in lams) > 90
     bad = [str(lam) for lam in lams if not _agrees(lam)]
     assert not bad, bad[:10]
+
+
+# -- a plain 5-tuple of fields is read as the diagram it equals ------------------
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_a_plain_tuple_reduces_and_sums_as_its_diagram(t, small_cores):
+    # the width-7 pool with k <= 4 and its lifts into the small cores, at
+    # every rank: the tuple is never recorded, so each call reads it afresh
+    lams = []
+    for k in range(5):
+        for h in enumerate_corefree(t, k, 7):
+            lams.append(h)
+            for g in small_cores[t]:
+                try:
+                    lams += unhowl(g, h)
+                except UnhowlError:
+                    pass
+    assert sum(not lam.is_core_free() for lam in lams) > 300
+    for lam in lams:
+        plain = tuple(lam)
+        for r in range(atypicality(lam) + 1):
+            assert ds.dsr(plain, r) == ds.dsr(lam, r), (fmt(lam), r)
+        assert superdimension(plain, *_mn(lam)) == superdimension(lam, *_mn(lam)), fmt(lam)
